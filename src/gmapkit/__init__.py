@@ -60,7 +60,6 @@ from .scheme import (
     RuleScheme,
     SchemeArc,
     instance_name,
-    instantiate_node,
     instantiate_rule,
     instantiate_scheme,
     split_instance,
@@ -75,5 +74,3 @@ from .textio import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,8 +76,7 @@ def cmd_validate(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = _load_gmap(args.file)
-    sub = g.orbit(_parse_dims(args.type), args.dart)
-    print(" ".join(sub.nodes))
+    print(" ".join(g.orbit_darts(_parse_dims(args.type), args.dart)))
     return 0
 
 
@@ -203,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GmapError as exc:
         return _fail(exc)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(_paint(f"E_IO {exc}", "31"), file=sys.stderr)
         return 1
 

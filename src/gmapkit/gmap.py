@@ -13,7 +13,6 @@ dart, and all darts of one orbit of the layer's domain type must agree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -266,20 +265,18 @@ class Gmap:
 
     # -- orbits and cells --------------------------------------------------
 
-    def orbit(self, o: OrbitType, dart: str) -> LabeledGraph:
-        """The sub-map reachable from ``dart`` through links with dims in ``o``.
+    def orbit_darts(self, o: OrbitType, dart: str) -> tuple[str, ...]:
+        """The darts reachable from ``dart`` through links with dims in ``o``.
 
-        Nodes appear in BFS discovery order (dimensions ascending at each
-        dart), links in first-encounter order; both are deterministic.
+        Darts appear in BFS discovery order: at each dart its links are
+        visited dimensions ascending, and each link's ends in sorted order.
         """
         if dart not in self.graph:
             raise UnknownNodeError(f"unknown dart {dart!r}")
         dims = set(o)
         order: list[str] = [dart]
         seen = {dart}
-        queue = deque([dart])
-        while queue:
-            u = queue.popleft()
+        for u in order:  # the list grows while read: it is the BFS queue
             for link in self.graph.incident_links(u):
                 if link.dim not in dims:
                     continue
@@ -287,7 +284,16 @@ class Gmap:
                     if v not in seen:
                         seen.add(v)
                         order.append(v)
-                        queue.append(v)
+        return tuple(order)
+
+    def orbit(self, o: OrbitType, dart: str) -> LabeledGraph:
+        """The sub-map reachable from ``dart`` through links with dims in ``o``.
+
+        Nodes appear in :meth:`orbit_darts` order, links in first-encounter
+        order along it; both are deterministic.
+        """
+        order = self.orbit_darts(o, dart)
+        dims = set(o)
         out = LabeledGraph(self.n)
         for u in order:
             out._add_node(u)
@@ -298,9 +304,6 @@ class Gmap:
                     added.add(link.id)
                     out._add_link(link.ends, link.dim)
         return out
-
-    def orbit_darts(self, o: OrbitType, dart: str) -> tuple[str, ...]:
-        return self.orbit(o, dart).nodes
 
     def cell_type(self, i: int) -> OrbitType:
         """Orbit type of i-cells: all dimensions of 0..n except ``i``."""

@@ -1,13 +1,15 @@
 """Undirected multigraphs with dimension-labeled arcs and named nodes.
 
 This is the substrate everything else is built on: generalized maps,
-orbit graphs, and the two sides of an instantiated rule are all values
-of :class:`LabeledGraph`.  Links carry stable ids so that parallel arcs
-and loops can be deleted individually; semantic equality ignores ids.
+orbit graphs, and the two sides of an instantiated rule are all
+instances of :class:`LabeledGraph`.  Links carry stable ids so that
+parallel arcs and loops can be deleted individually; semantic equality
+ignores ids.
 
-Graphs are treated as immutable values: the public ``add_*`` /
-``remove_*`` operations return new graphs.  Bulk constructors use the
-underscore-prefixed in-place mutators and publish the result.
+Callers build a graph in one step with :meth:`LabeledGraph.build`.
+Only the library itself uses the underscore-prefixed in-place mutators:
+its constructors, and rule application on a :meth:`~LabeledGraph.copy`
+of the host graph.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class LabeledGraph:
         g._next_link = self._next_link
         return g
 
-    # -- in-place mutators (builders only) -------------------------------
+    # -- in-place mutators (library-internal) ----------------------------
 
     def _add_node(self, name: str) -> None:
         if not name:
@@ -123,35 +125,13 @@ class LabeledGraph:
             self._incidence[u].remove(link_id)
 
     def _remove_node(self, name: str) -> None:
+        """Remove a node together with every link incident to it."""
         if name not in self._nodes:
             raise UnknownNodeError(f"unknown node {name!r}")
         for link_id in list(self._incidence[name]):
             self._remove_link(link_id)
         del self._nodes[name]
         del self._incidence[name]
-
-    # -- value-style operations ------------------------------------------
-
-    def add_node(self, name: str) -> "LabeledGraph":
-        g = self.copy()
-        g._add_node(name)
-        return g
-
-    def add_link(self, ends: Iterable[str], dim: int) -> "LabeledGraph":
-        g = self.copy()
-        g._add_link(ends, dim)
-        return g
-
-    def remove_link(self, link_id: str) -> "LabeledGraph":
-        g = self.copy()
-        g._remove_link(link_id)
-        return g
-
-    def remove_node(self, name: str) -> "LabeledGraph":
-        """Remove a node together with every link incident to it."""
-        g = self.copy()
-        g._remove_node(name)
-        return g
 
     # -- queries ----------------------------------------------------------
 
@@ -168,12 +148,6 @@ class LabeledGraph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def link(self, link_id: str) -> Link:
-        try:
-            return self._links[link_id]
-        except KeyError:
-            raise UnknownLinkError(f"unknown link id {link_id!r}") from None
 
     def incident_links(self, node: str, dim: int | None = None) -> tuple[Link, ...]:
         """Links whose end set contains ``node`` (loops count once).
@@ -286,23 +260,25 @@ def iso_check(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
                 return False
         return True
 
-    def extend(k: int) -> bool:
-        if k == len(nodes1):
-            return True
-        u = nodes1[k]
-        for v in profiles2.get(repr(_node_profile(g1, u)), []):
-            if v in used:
-                continue
-            if not consistent(u, v):
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(k + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
-        return False
+    def candidates(k: int):
+        return iter(profiles2.get(repr(_node_profile(g1, nodes1[k])), []))
 
-    if extend(0):
-        return dict(mapping)
+    if not nodes1:
+        return {}
+    # depth-first search over nodes1 in order; the explicit stack holds
+    # the candidate iterator of each node assigned so far plus the next
+    stack = [candidates(0)]
+    while stack:
+        u = nodes1[len(stack) - 1]
+        v = next((v for v in stack[-1] if v not in used and consistent(u, v)), None)
+        if v is None:
+            stack.pop()
+            if stack:
+                used.remove(mapping.pop(nodes1[len(stack) - 1]))
+            continue
+        mapping[u] = v
+        used.add(v)
+        if len(mapping) == len(nodes1):
+            return mapping
+        stack.append(candidates(len(stack)))
     return None

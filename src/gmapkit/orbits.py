@@ -10,7 +10,7 @@ target of a relabeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import RelabelingError
 from .graph import LabeledGraph
@@ -87,14 +87,6 @@ class GeneralizedOrbitType:
         return "<" + ",".join(repr(e) if isinstance(e, _Remove) else str(e) for e in self.entries) + ">"
 
 
-def orbit_type(dims: Iterable[int]) -> OrbitType:
-    return OrbitType(tuple(dims))
-
-
-def generalized_orbit_type(entries: Iterable[Entry]) -> GeneralizedOrbitType:
-    return GeneralizedOrbitType(tuple(entries))
-
-
 @dataclass(frozen=True)
 class RelabelingFunction:
     """Positional dimension map reconstructed from source and target types.
@@ -124,20 +116,6 @@ class RelabelingFunction:
             return self.mapping[dim]
         except KeyError:
             raise RelabelingError(f"dimension {dim} not in domain {self.source}") from None
-
-    def is_identity(self) -> bool:
-        return all(a == b for a, b in zip(self.source, self.target))
-
-    def compose(self, then: "RelabelingFunction") -> "RelabelingFunction":
-        """The relabeling equivalent to applying ``self`` then ``then``.
-
-        Only defined when neither function removes labels and the image
-        of ``self`` lies in the domain of ``then``.
-        """
-        if self.target.has_remove or then.target.has_remove:
-            raise RelabelingError("cannot compose through the removing symbol")
-        out = [then(self(d)) for d in self.source]
-        return RelabelingFunction(self.source, GeneralizedOrbitType(tuple(out)))
 
     def __repr__(self) -> str:
         return f"{self.source!r}->{self.target!r}"

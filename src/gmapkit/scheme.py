@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .errors import SchemeError, UnknownNodeError
 from .graph import LabeledGraph
-from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction
+from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction, apply_relabeling
 
 if TYPE_CHECKING:
     from .gmap import Gmap
@@ -129,40 +129,17 @@ def _check_orbit_graph(o: OrbitType, orbit_graph: LabeledGraph) -> None:
         raise SchemeError("orbit graph must be connected")
 
 
-def instantiate_node(
-    name: str,
-    decoration: GeneralizedOrbitType,
-    orbit_graph: LabeledGraph,
-    parameter: OrbitType,
-) -> LabeledGraph:
-    """One relabeled copy of the orbit graph, nodes renamed ``u@name``."""
-    relabeling = RelabelingFunction(parameter, decoration)
-    out = LabeledGraph(orbit_graph.ambient_dimension)
-    for u in orbit_graph.nodes:
-        out._add_node(instance_name(u, name))
-    mapping = relabeling.mapping
-    for link in orbit_graph.links:
-        target = mapping.get(link.dim)
-        if target is None:
-            raise SchemeError(
-                f"orbit graph has a {link.dim}-link outside the parameter {parameter!r}"
-            )
-        if isinstance(target, int):
-            out._add_link({instance_name(u, name) for u in link.ends}, target)
-    return out
-
-
 def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
     """Unfold ``scheme`` with ``orbit_graph``: the union of one relabeled
     orbit copy per scheme node, plus one link per (scheme arc, orbit dart)."""
     _check_orbit_graph(scheme.parameter, orbit_graph)
     out = LabeledGraph(orbit_graph.ambient_dimension)
     for name, decoration in scheme.nodes:
-        copy = instantiate_node(name, decoration, orbit_graph, scheme.parameter)
+        copy = apply_relabeling(RelabelingFunction(scheme.parameter, decoration), orbit_graph)
         for u in copy.nodes:
-            out._add_node(u)
+            out._add_node(instance_name(u, name))
         for link in copy.links:
-            out._add_link(link.ends, link.dim)
+            out._add_link({instance_name(u, name) for u in link.ends}, link.dim)
     for arc in scheme.arcs:
         for u in sorted(orbit_graph.nodes):
             out._add_link({instance_name(u, arc.a), instance_name(u, arc.b)}, arc.dim)

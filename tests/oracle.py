@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import MatchError
-from .gmap import (
+from gmapkit.errors import MatchError
+from gmapkit.gmap import (
     CycleViolation,
     EmbeddingViolation,
     Gmap,
@@ -22,10 +22,10 @@ from .gmap import (
     ValidationReport,
     values_equal,
 )
-from .graph import LabeledGraph
-from .orbits import OrbitType
-from .rewrite import complete_match
-from .scheme import InstantiatedRule
+from gmapkit.graph import LabeledGraph
+from gmapkit.orbits import OrbitType
+from gmapkit.rewrite import complete_match
+from gmapkit.scheme import InstantiatedRule
 
 
 @dataclass(frozen=True)

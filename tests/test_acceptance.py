@@ -28,12 +28,6 @@ from gmapkit import (
 )
 from gmapkit.gmap import CycleViolation, IncidenceViolation
 from gmapkit.mesh import unify
-from gmapkit.oracle import (
-    check_match_agreement,
-    check_orbit_agreement,
-    check_validate_agreement,
-    random_valid_gmap,
-)
 
 from conftest import (
     FIXTURES,
@@ -42,6 +36,12 @@ from conftest import (
     sewn_edge_graph,
     vertex_insert_rhs_free,
     vertex_insert_rhs_sewn,
+)
+from oracle import (
+    check_match_agreement,
+    check_orbit_agreement,
+    check_validate_agreement,
+    random_valid_gmap,
 )
 from test_scheme import expected_link_count, random_scheme
 

@@ -206,6 +206,24 @@ def test_missing_file_reported(workdir, capsys):
     assert "E_IO" in capsys.readouterr().err
 
 
+def test_undecodable_file_reported(workdir, capsys):
+    (workdir / "bytes.gmap").write_bytes(b"dimension 2\n\xff\xfe\n")
+    assert main(["validate", "bytes.gmap"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("E_IO ")
+    assert out.err.count("\n") == 1
+
+
+def test_directory_path_reported(workdir, capsys):
+    (workdir / "folder.gmap").mkdir()
+    assert main(["validate", "folder.gmap"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("E_IO ")
+    assert out.err.count("\n") == 1
+
+
 def test_no_ansi_when_disabled(workdir, capsys):
     main(["validate", "broken_incidence.gmap"])
     out = capsys.readouterr()

@@ -12,9 +12,9 @@ from gmapkit import (
     extend_match,
     instantiate_rule,
 )
-from gmapkit.oracle import check_match_agreement, oracle_match, random_valid_gmap
 
 from conftest import vertex_insert_lhs_free
+from oracle import check_match_agreement, oracle_match, random_valid_gmap
 
 
 def test_seed_extends_along_forced_links(two_triangles_gmap):
@@ -62,7 +62,7 @@ def test_match_via_rule_seed(vi_rule, square_gmap):
 
 
 def test_oracle_unseeded_single_node_pattern(square_gmap):
-    pattern = LabeledGraph(2).add_node("x")
+    pattern = LabeledGraph.build(2, ["x"])
     found = oracle_match(pattern, square_gmap, {})
     assert len(found) == len(square_gmap.darts)
 
@@ -116,7 +116,7 @@ def test_relabeling_hook_matches_the_relabeled_shape(square_gmap, two_triangles_
     # into a corner-shaped pattern; the forced walk then matches the
     # anchor's corner, not its edge
     from gmapkit import parse_rule_scheme
-    from gmapkit.oracle import oracle_match
+    from oracle import oracle_match
 
     rule = parse_rule_scheme(
         "rule Odd <0,2> { left { n0: <1,2> hook } right { n0: <1,2> } }"

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from gmapkit import Gmap, OrbitType, parse_gmap
-from gmapkit.oracle import (
+
+from conftest import fixture_text
+from oracle import (
     OracleReport,
     check_orbit_agreement,
     check_validate_agreement,
@@ -13,8 +15,6 @@ from gmapkit.oracle import (
     oracle_validate,
     random_valid_gmap,
 )
-
-from conftest import fixture_text
 
 BROKEN = ["broken_incidence.gmap", "broken_three_faces.gmap", "broken_cycle.gmap"]
 CLEAN = ["square.gmap", "triangle.gmap", "two_triangles.gmap", "segment_1d.gmap", "single_dart.gmap"]

@@ -15,6 +15,12 @@ from gmapkit import (
 from conftest import free_edge_graph, sewn_edge_graph
 
 
+def compose(f, g):
+    """The relabeling equal to applying ``f`` then ``g`` (neither removes labels)."""
+    out = tuple(g.mapping[f.mapping[d]] for d in f.source)
+    return RelabelingFunction(f.source, GeneralizedOrbitType(out))
+
+
 def test_orbit_type_must_increase():
     OrbitType((0, 2))
     with pytest.raises(RelabelingError):
@@ -85,7 +91,7 @@ def test_apply_relabeling_removes_labels():
 
 def test_apply_identity_relabeling():
     f = RelabelingFunction(OrbitType((0, 2)), GeneralizedOrbitType((0, 2)))
-    assert f.is_identity()
+    assert all(f(d) == d for d in f.source)
     assert apply_relabeling(f, free_edge_graph()) == free_edge_graph()
 
 
@@ -101,7 +107,7 @@ def test_relabeling_composition_exact():
     f = RelabelingFunction(OrbitType((0, 2)), GeneralizedOrbitType((1, 2)))
     g = RelabelingFunction(OrbitType((1, 2)), GeneralizedOrbitType((0, 1)))
     two_step = apply_relabeling(g, apply_relabeling(f, h))
-    one_step = apply_relabeling(f.compose(g), h)
+    one_step = apply_relabeling(compose(f, g), h)
     assert two_step == one_step
 
 
@@ -127,5 +133,5 @@ def test_relabeling_composition_random_cases():
             GeneralizedOrbitType(tuple(tgt[k] for k in order)),
         )
         assert apply_relabeling(g, apply_relabeling(f, base)) == apply_relabeling(
-            f.compose(g), base
+            compose(f, g), base
         )

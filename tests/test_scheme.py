@@ -14,12 +14,10 @@ from gmapkit import (
     SchemeArc,
     SchemeError,
     UnknownNodeError,
-    instantiate_node,
     instantiate_rule,
     instantiate_scheme,
     iso_check,
 )
-from gmapkit.oracle import random_valid_gmap
 
 from conftest import (
     free_edge_graph,
@@ -29,6 +27,7 @@ from conftest import (
     vertex_insert_rhs_free,
     vertex_insert_rhs_sewn,
 )
+from oracle import random_valid_gmap
 
 PARAM_02 = OrbitType((0, 2))
 
@@ -38,6 +37,11 @@ def links_of(g: LabeledGraph):
 
 
 # -- node instantiation ---------------------------------------------------------
+
+
+def instantiate_node(name, decoration, orbit_graph, parameter):
+    """One relabeled copy of the orbit graph: a one-node scheme with no arcs."""
+    return instantiate_scheme(GraphScheme(parameter, ((name, decoration),)), orbit_graph)
 
 
 def test_instantiate_node_relabels_copy():
