@@ -46,7 +46,10 @@ def _fail(exc: GmapError) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -202,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GmapError as exc:
         return _fail(exc)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(_paint(f"E_IO {exc}", "31"), file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ from .errors import (
     ConstraintViolationError,
     DimensionError,
     EmbeddingError,
-    UnknownLayerError,
     UnknownNodeError,
 )
 from .graph import LabeledGraph
@@ -61,7 +60,11 @@ def normalize_value(value_type: str, value: Any) -> Any:
             raise EmbeddingError(f"bad {value_type} component {c!r}")
         if elem is int and not isinstance(c, int):
             raise EmbeddingError(f"{value_type} components must be integers, got {c!r}")
-        out.append(elem(c))
+        x = elem(c)
+        # inf and nan have no .gmap spelling, and nan never equals itself
+        if not abs(x) < float("inf"):
+            raise EmbeddingError(f"{value_type} components must be finite, got {c!r}")
+        out.append(x)
     if value_type == "scalar":
         return out[0]
     return tuple(out)
@@ -390,9 +393,3 @@ class Gmap:
         for layer in self.embeddings.values():
             violations.extend(self._embedding_violations(layer))
         return ValidationReport(tuple(violations))
-
-    def check_embedding(self, layer_name: str) -> ValidationReport:
-        """Embedding-condition check for one layer."""
-        if layer_name not in self.embeddings:
-            raise UnknownLayerError(f"unknown embedding layer {layer_name!r}")
-        return ValidationReport(tuple(self._embedding_violations(self.embeddings[layer_name])))

@@ -226,6 +226,10 @@ def _pair_counts(g: LabeledGraph, u: str, v: str) -> dict[int, int]:
     return counts
 
 
+def _neighbours(g: LabeledGraph, node: str) -> set[str]:
+    return {e for i in g._incidence[node] for e in g._links[i].ends if e != node}
+
+
 def iso_check(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
     """Dimension- and incidence-preserving node bijection, or ``None``.
 
@@ -248,17 +252,17 @@ def iso_check(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
         profiles2.setdefault(repr(_node_profile(g2, v)), []).append(v)
 
     mapping: dict[str, str] = {}
-    used: set[str] = set()
+    inverse: dict[str, str] = {}
 
     def consistent(u: str, v: str) -> bool:
-        # check link multiplicities against every already-assigned node,
-        # including the loop multiplicities on u itself
+        # compare link multiplicities with the loops on u itself and with
+        # every assigned node linked to u in g1 or to v in g2; any other
+        # assigned pair has no link on either side
         if _pair_counts(g1, u, u) != _pair_counts(g2, v, v):
             return False
-        for u2, v2 in mapping.items():
-            if _pair_counts(g1, u, u2) != _pair_counts(g2, v, v2):
-                return False
-        return True
+        pairs = {(u2, mapping[u2]) for u2 in _neighbours(g1, u) if u2 in mapping}
+        pairs.update((inverse[v2], v2) for v2 in _neighbours(g2, v) if v2 in inverse)
+        return all(_pair_counts(g1, u, u2) == _pair_counts(g2, v, v2) for u2, v2 in pairs)
 
     def candidates(k: int):
         return iter(profiles2.get(repr(_node_profile(g1, nodes1[k])), []))
@@ -270,14 +274,14 @@ def iso_check(g1: LabeledGraph, g2: LabeledGraph) -> dict[str, str] | None:
     stack = [candidates(0)]
     while stack:
         u = nodes1[len(stack) - 1]
-        v = next((v for v in stack[-1] if v not in used and consistent(u, v)), None)
+        v = next((v for v in stack[-1] if v not in inverse and consistent(u, v)), None)
         if v is None:
             stack.pop()
             if stack:
-                used.remove(mapping.pop(nodes1[len(stack) - 1]))
+                del inverse[mapping.pop(nodes1[len(stack) - 1])]
             continue
         mapping[u] = v
-        used.add(v)
+        inverse[v] = u
         if len(mapping) == len(nodes1):
             return mapping
         stack.append(candidates(len(stack)))

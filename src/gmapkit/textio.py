@@ -10,6 +10,7 @@ nodes by name.  All output uses LF line endings.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import (
@@ -27,96 +28,69 @@ from .scheme import GraphScheme, RuleScheme, SchemeArc
 
 _GMAP_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_@#-]*")
 _RULE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?")
-_NAT = re.compile(r"\d+")
+_SKIP = r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
+# re.S lets an escape in a string take a newline
+_GMAP_TOKENS = re.compile(
+    rf'{_SKIP}|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<OPEN>")|(?P<IDENT>{_GMAP_IDENT.pattern})'
+    r"|(?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<SYMBOL>[{}:])|(?P<BAD>.)",
+    re.S,
+)
+_RULE_TOKENS = re.compile(
+    rf"{_SKIP}|(?P<IDENT>{_RULE_IDENT.pattern})|(?P<NUMBER>\d+)|(?P<SYMBOL>[{{}}<>,:-])|(?P<BAD>.)"
+)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
+# slots, not a NamedTuple: a 3.6k-dart map has ~43k tokens, and the
+# larger tuple raised peak RSS by ~2 MB
+@dataclass(slots=True)
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def __repr__(self) -> str:
-        return f"{self.kind}({self.text!r})"
+    kind: str
+    text: str
+    line: int
+    column: int
 
 
 class _Tokenizer:
-    """Hand-rolled scanner shared by the two text formats."""
+    """Scanner shared by the two text formats.
 
-    def __init__(
-        self,
-        text: str,
-        ident: re.Pattern,
-        symbols: str,
-        strings: bool = False,
-        number: re.Pattern = _NUMBER,
-    ):
+    ``pattern`` is the format's master pattern, ``_GMAP_TOKENS`` or
+    ``_RULE_TOKENS``; its alternatives are tried in order: newline,
+    blanks, ``#`` comment, string (``.gmap`` only), identifier, number,
+    symbol, and any other character, which is an error.  A string that
+    fails to close before a raw newline or the end of the text is an
+    error at its opening quote.  Symbols are their own token kind.
+    Columns count characters from 1, but a comment does not advance the
+    column and a backslash-newline inside a string does not advance the
+    line.
+    """
+
+    def __init__(self, text: str, pattern: re.Pattern):
         self._tokens: list[_Token] = []
         line, col = 1, 1
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c == "\n":
-                line += 1
-                col = 1
-                i += 1
+        for m in pattern.finditer(text):
+            kind, s = m.lastgroup, m.group()
+            if kind == "NL":
+                line, col = line + 1, 1
                 continue
-            if c in " \t\r":
-                i += 1
-                col += 1
+            if kind == "COMMENT":
                 continue
-            if c == "#":
-                while i < len(text) and text[i] != "\n":
-                    i += 1
-                continue
-            if strings and c == '"':
-                j = i + 1
-                out = []
-                while j < len(text) and text[j] != '"':
-                    if text[j] == "\\":
-                        j += 1
-                        if j >= len(text):
-                            break
-                        esc = text[j]
-                        out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    elif text[j] == "\n":
-                        raise ParseError("unterminated string", line, col)
-                    else:
-                        out.append(text[j])
-                    j += 1
-                if j >= len(text):
-                    raise ParseError("unterminated string", line, col)
-                self._tokens.append(_Token("STRING", "".join(out), line, col))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            m = ident.match(text, i)
-            if m:
-                self._tokens.append(_Token("IDENT", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            m = number.match(text, i)
-            if m:
-                self._tokens.append(_Token("NUMBER", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            if c in symbols:
-                self._tokens.append(_Token(c, c, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", line, col)
+            if kind == "OPEN":
+                raise ParseError("unterminated string", line, col)
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {s!r}", line, col)
+            if kind == "STRING":
+                unescaped = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), s[1:-1])
+                self._tokens.append(_Token(kind, unescaped, line, col))
+            elif kind != "WS":
+                self._tokens.append(_Token(s if kind == "SYMBOL" else kind, s, line, col))
+            col += len(s)
         self._tokens.append(_Token("EOF", "", line, col))
         self._pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+    def peek(self) -> _Token:
+        return self._tokens[self._pos]
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -231,7 +205,7 @@ def _parse_value(tz: _Tokenizer, value_type: str) -> Any:
 def parse_gmap(text: str) -> Gmap:
     """Parse a .gmap document; structural invariants are enforced, the
     topological constraints are not (run ``validate`` separately)."""
-    tz = _Tokenizer(text, _GMAP_IDENT, "{}:", strings=True)
+    tz = _Tokenizer(text, _GMAP_TOKENS)
     tz.expect_keyword("dimension")
     n = tz.expect_nat()
     graph = LabeledGraph(n)
@@ -299,22 +273,14 @@ def parse_gmap(text: str) -> Gmap:
 # .jrule rule schemes
 
 
-def _format_orbit(o: OrbitType) -> str:
-    return "<" + ",".join(str(d) for d in o) + ">"
-
-
-def _format_gorbit(o: GeneralizedOrbitType) -> str:
-    return "<" + ",".join("_" if not isinstance(e, int) else str(e) for e in o) + ">"
-
-
 def serialize_rule_scheme(rule: RuleScheme) -> str:
     """Canonical .jrule text: nodes sorted by name, arcs normalized."""
-    lines = [f"rule {rule.name} {_format_orbit(rule.parameter)} {{"]
+    lines = [f"rule {rule.name} {rule.parameter!r} {{"]
     for side_name, scheme in (("left", rule.left), ("right", rule.right)):
         lines.append(f"  {side_name} {{")
         for node, deco in sorted(scheme.nodes):
             hook = " hook" if side_name == "left" and node == rule.hook else ""
-            lines.append(f"    {node}: {_format_gorbit(deco)}{hook}")
+            lines.append(f"    {node}: {deco!r}{hook}")
         arcs = sorted(
             (min(a.a, a.b), a.dim, max(a.a, a.b)) for a in scheme.arcs
         )
@@ -380,7 +346,7 @@ def parse_rule_scheme(text: str) -> RuleScheme:
     are naturals or ``_``) or an arc ``node -dim- node``.  Exactly one
     hook, in the left block.
     """
-    tz = _Tokenizer(text, _RULE_IDENT, "{}<>,:-", number=_NAT)
+    tz = _Tokenizer(text, _RULE_TOKENS)
     tz.expect_keyword("rule")
     name = tz.expect("IDENT").text
     tz.expect("<")

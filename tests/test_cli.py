@@ -211,8 +211,25 @@ def test_undecodable_file_reported(workdir, capsys):
     assert main(["validate", "bytes.gmap"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("E_IO ")
+    assert out.err.startswith("E_IO bytes.gmap: ")
     assert out.err.count("\n") == 1
+    # of two inputs, the line names the one that failed
+    argv = ["apply", "vertex_insert_02.jrule", "bytes.gmap", "--dart", "a", "-o", "out.gmap"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("E_IO bytes.gmap: ")
+    assert "vertex_insert_02.jrule" not in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_non_finite_coordinate_is_an_embedding_error(workdir, capsys):
+    (workdir / "inf.off").write_text("OFF\n3 1 0\ninf 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    assert main(["unify", "inf.off", "-o", "out.gmap"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "E_EMBED point3d components must be finite, got inf\n"
+    assert not (workdir / "out.gmap").exists()
 
 
 def test_directory_path_reported(workdir, capsys):

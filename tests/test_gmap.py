@@ -11,7 +11,6 @@ from gmapkit import (
     Gmap,
     IncidenceViolation,
     OrbitType,
-    UnknownLayerError,
     UnknownNodeError,
 )
 from gmapkit.mesh import unify
@@ -196,7 +195,7 @@ def test_zero_dimensional_map():
 
 
 def test_square_positions_satisfy_embedding_condition(square_gmap):
-    assert square_gmap.check_embedding("pos").ok
+    assert square_gmap.validate().ok
 
 
 def test_perturbed_position_is_reported(square_gmap):
@@ -205,7 +204,7 @@ def test_perturbed_position_is_reported(square_gmap):
     victim = sorted(g.darts)[0]
     x, y, z = layer.values[victim]
     layer.values[victim] = (x + 0.5, y, z)
-    report = g.check_embedding("pos")
+    report = g.validate()
     assert len(report.violations) == 1
     (violation,) = report.violations
     assert isinstance(violation, EmbeddingViolation)
@@ -216,13 +215,7 @@ def test_perturbed_position_is_reported(square_gmap):
 
 def test_face_color_layer_is_consistent():
     g = parse_gmap(fixture_text("square_colored.gmap"))
-    assert g.check_embedding("col").ok
     assert g.validate().ok
-
-
-def test_check_embedding_unknown_layer(square_gmap):
-    with pytest.raises(UnknownLayerError):
-        square_gmap.check_embedding("nope")
 
 
 def test_layer_must_be_total():
@@ -233,10 +226,18 @@ def test_layer_must_be_total():
         Gmap(graph, [EmbeddingLayer("pos", OrbitType((1, 2)), "point3d", {"a": (0, 0, 0)})])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_components_rejected(bad):
+    from gmapkit import EmbeddingError
+
+    with pytest.raises(EmbeddingError, match="must be finite"):
+        EmbeddingLayer("pos", OrbitType((1, 2)), "point3d", {"a": (0.0, bad, 0.0)})
+
+
 def test_tolerant_point_comparison(square_gmap):
     g = square_gmap.copy()
     layer = g.embeddings["pos"]
     victim = sorted(g.darts)[0]
     x, y, z = layer.values[victim]
     layer.values[victim] = (x + 1e-12, y, z)  # below tolerance
-    assert g.check_embedding("pos").ok
+    assert g.validate().ok

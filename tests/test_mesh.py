@@ -60,7 +60,7 @@ def test_positions_copied_per_vertex():
     for dart, value in layer.values.items():
         vertex = int(dart[1 : dart.index("e")])
         assert value == mesh.vertices[vertex]
-    assert g.check_embedding("pos").ok
+    assert g.validate().ok
 
 
 def test_face_indices_out_of_range():
