@@ -37,7 +37,7 @@ from .gmap import (
     IncidenceViolation,
     ValidationReport,
 )
-from .graph import LabeledGraph, Link, iso_check
+from .graph import LabeledGraph, Link
 from .mesh import PolygonalMesh, unify
 from .orbits import (
     REMOVE,

@@ -60,7 +60,10 @@ def normalize_value(value_type: str, value: Any) -> Any:
             raise EmbeddingError(f"bad {value_type} component {c!r}")
         if elem is int and not isinstance(c, int):
             raise EmbeddingError(f"{value_type} components must be integers, got {c!r}")
-        x = elem(c)
+        try:
+            x = elem(c)
+        except OverflowError:  # an int too large for a float
+            x = float("inf")
         # inf and nan have no .gmap spelling, and nan never equals itself
         if not abs(x) < float("inf"):
             raise EmbeddingError(f"{value_type} components must be finite, got {c!r}")
@@ -70,14 +73,14 @@ def normalize_value(value_type: str, value: Any) -> Any:
     return tuple(out)
 
 
-def values_equal(value_type: str, a: Any, b: Any, tol: float = POINT_TOLERANCE) -> bool:
+def values_equal(value_type: str, a: Any, b: Any) -> bool:
     """Equality used by the embedding condition: exact for colors and
-    strings, within ``tol`` componentwise for points and scalars."""
+    strings, within ``POINT_TOLERANCE`` componentwise for points and scalars."""
     if value_type in ("string", "color_rgb"):
         return a == b
     if value_type == "scalar":
-        return abs(a - b) <= tol
-    return len(a) == len(b) and all(abs(x - y) <= tol for x, y in zip(a, b))
+        return abs(a - b) <= POINT_TOLERANCE
+    return len(a) == len(b) and all(abs(x - y) <= POINT_TOLERANCE for x, y in zip(a, b))
 
 
 @dataclass
@@ -283,7 +286,7 @@ class Gmap:
             for link in self.graph.incident_links(u):
                 if link.dim not in dims:
                     continue
-                for v in link.sorted_ends():
+                for v in link.ends:
                     if v not in seen:
                         seen.add(v)
                         order.append(v)
@@ -354,18 +357,18 @@ class Gmap:
                 for x1 in g.nodes:
                     for l0 in g.incident_links(x1, i):
                         for l1 in g.incident_links(x1, j):
-                            for x2 in l1.sorted_ends():
+                            for x2 in l1.ends:
                                 for l2 in g.incident_links(x2, i):
-                                    for x3 in l2.sorted_ends():
+                                    for x3 in l2.ends:
                                         for l3 in g.incident_links(x3, j):
-                                            if l0.ends & l3.ends:
+                                            e0, e3 = l0.ends, l3.ends
+                                            if e3[0] in e0 or e3[-1] in e0:
                                                 continue
                                             key = (i, j, l0.id, l1.id, l2.id, l3.id)
                                             if key in found:
                                                 continue
                                             chain = tuple(
-                                                (l.dim, l.sorted_ends())
-                                                for l in (l0, l1, l2, l3)
+                                                (l.dim, l.ends) for l in (l0, l1, l2, l3)
                                             )
                                             found[key] = CycleViolation(
                                                 i, j, (l0.id, l1.id, l2.id, l3.id), chain

@@ -256,13 +256,12 @@ def _matched_link_ids(rule: InstantiatedRule, gmap: Gmap, match: Match) -> dict[
     """Map each left link id to the host link id it lands on."""
     out: dict[str, str] = {}
     for link in rule.left.links:
-        ends = sorted(link.ends)
-        a = match[ends[0]]
-        b = match[ends[-1]]
+        x, y = link.ends[0], link.ends[-1]
+        a, b = match[x], match[y]
         host = gmap.graph.links_between(a, b, link.dim)
         if len(host) != 1:
             raise MatchError(
-                f"left link {ends[0]!r}-{link.dim}-{ends[-1]!r} maps onto "
+                f"left link {x!r}-{link.dim}-{y!r} maps onto "
                 f"{len(host)} host links between {a!r} and {b!r}"
             )
         out[link.id] = host[0].id
@@ -303,7 +302,7 @@ def apply_rule(
             if host_link.id not in matched_ids:
                 raise DanglingDartError(
                     f"deleting dart {a!r} would dangle link "
-                    f"{'-'.join(host_link.sorted_ends())} of dimension {host_link.dim}"
+                    f"{'-'.join(host_link.ends)} of dimension {host_link.dim}"
                 )
 
     graph = gmap.graph.copy()

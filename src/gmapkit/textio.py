@@ -158,7 +158,7 @@ def serialize_gmap(g: Gmap) -> str:
     lines.extend(f"  {d}" for d in sorted(g.darts))
     lines.append("}")
     lines.append("links {")
-    for dim, ends in sorted((l.dim, l.sorted_ends()) for l in g.graph.links):
+    for dim, ends in sorted((l.dim, l.ends) for l in g.graph.links):
         lines.append(f"  {dim}: {' '.join(ends)}")
     lines.append("}")
     if g.embeddings:
@@ -226,10 +226,9 @@ def parse_gmap(text: str) -> Gmap:
         tok = tz.peek()
         dim = tz.expect_nat()
         tz.expect(":")
-        first = tz.expect("IDENT").text
-        ends = {first}
+        ends = [tz.expect("IDENT").text]
         if tz.peek().kind == "IDENT":
-            ends.add(tz.next().text)
+            ends.append(tz.next().text)
         try:
             graph._add_link(ends, dim)
         except GmapError as exc:

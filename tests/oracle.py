@@ -59,21 +59,21 @@ def oracle_validate(g: Gmap) -> ValidationReport:
             seen = set()
             for l0 in li:
                 for l1 in lj:
-                    if not l0.ends & l1.ends:
+                    if not set(l0.ends) & set(l1.ends):
                         continue
                     for l2 in li:
-                        if not l1.ends & l2.ends:
+                        if not set(l1.ends) & set(l2.ends):
                             continue
                         for l3 in lj:
-                            if not l2.ends & l3.ends:
+                            if not set(l2.ends) & set(l3.ends):
                                 continue
-                            if l0.ends & l3.ends:
+                            if set(l0.ends) & set(l3.ends):
                                 continue
                             key = (l0.id, l1.id, l2.id, l3.id)
                             if key in seen:
                                 continue
                             seen.add(key)
-                            chain = tuple((l.dim, l.sorted_ends()) for l in (l0, l1, l2, l3))
+                            chain = tuple((l.dim, l.ends) for l in (l0, l1, l2, l3))
                             violations.append(
                                 CycleViolation(i, j, key, chain)
                             )
@@ -102,8 +102,8 @@ def oracle_orbit(g: Gmap, o: OrbitType, dart: str) -> frozenset[str]:
     while changed:
         changed = False
         for link in g.graph.links:
-            if link.dim in dims and link.ends & members and not link.ends <= members:
-                members |= link.ends
+            if link.dim in dims and set(link.ends) & members and not set(link.ends) <= members:
+                members |= set(link.ends)
                 changed = True
     return frozenset(members)
 

@@ -19,7 +19,6 @@ from gmapkit import (
     import_off,
     instantiate_rule,
     instantiate_scheme,
-    iso_check,
     parse_directive,
     parse_gmap,
     parse_rule_scheme,
@@ -37,6 +36,7 @@ from conftest import (
     vertex_insert_rhs_free,
     vertex_insert_rhs_sewn,
 )
+from iso import iso_check
 from oracle import (
     check_match_agreement,
     check_orbit_agreement,
@@ -54,7 +54,7 @@ def report(num: int, description: str, failures: list[str]) -> None:
 
 
 def links_of(g):
-    return sorted((l.dim, l.sorted_ends()) for l in g.links)
+    return sorted((l.dim, l.ends) for l in g.links)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, stable error lines, file outputs."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gmapkit
 from gmapkit.cli import main
 
 from conftest import FIXTURES, fixture_text
@@ -245,3 +250,21 @@ def test_no_ansi_when_disabled(workdir, capsys):
     main(["validate", "broken_incidence.gmap"])
     out = capsys.readouterr()
     assert "\x1b[" not in out.out + out.err
+
+
+def test_unknown_link_end_is_named_in_written_order(tmp_path):
+    # both ends are unknown; the line names the first one written under
+    # every hash seed, so a set of ends must not decide the order
+    (tmp_path / "both.gmap").write_text("dimension 2 darts { } links { 0: a b }\n")
+    src = str(Path(gmapkit.__file__).parent.parent)
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src, "GMAP_COLOR": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmapkit.cli", "validate", "both.gmap"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "E_DOMAIN unknown node 'a' (line 1)\n"

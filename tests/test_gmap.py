@@ -226,7 +226,9 @@ def test_layer_must_be_total():
         Gmap(graph, [EmbeddingLayer("pos", OrbitType((1, 2)), "point3d", {"a": (0, 0, 0)})])
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize(
+    "bad", [float("inf"), float("-inf"), float("nan"), pytest.param(10**400, id="too-large-int")]
+)
 def test_non_finite_components_rejected(bad):
     from gmapkit import EmbeddingError
 

@@ -1,6 +1,7 @@
 """Graph substrate: construction ops, incidence queries, isomorphism."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,11 +11,11 @@ from gmapkit import (
     DuplicateNodeError,
     LabeledGraph,
     UnknownNodeError,
-    iso_check,
 )
 from gmapkit.mesh import PolygonalMesh, unify
 
 from conftest import free_edge_graph, sewn_edge_graph
+from iso import iso_check
 
 
 def test_add_node_to_empty_graph():
@@ -38,7 +39,7 @@ def test_add_link_basic():
     g = LabeledGraph.build(2, ["a", "b"], [(0, {"a", "b"})])
     (link,) = g.links
     assert link.dim == 0
-    assert link.sorted_ends() == ("a", "b")
+    assert link.ends == ("a", "b")
 
 
 def test_add_link_loop():
@@ -73,7 +74,7 @@ def test_parallel_links_permitted():
 def test_incident_links_free_edge():
     g = free_edge_graph()
     found = g.incident_links("a")
-    assert [(l.dim, l.sorted_ends()) for l in found] == [(0, ("a", "b")), (2, ("a",))]
+    assert [(l.dim, l.ends) for l in found] == [(0, ("a", "b")), (2, ("a",))]
     assert g.incident_links("a", 1) == ()
     (loop,) = g.incident_links("a", 2)
     assert loop.is_loop
@@ -209,9 +210,52 @@ def test_link_ends_subset_of_nodes_invariant():
     g = sewn_edge_graph()
     for link in g.links:
         assert 1 <= len(link.ends) <= 2
-        assert link.ends <= set(g.nodes)
+        assert set(link.ends) <= set(g.nodes)
 
 
 def test_connected_components():
     g = LabeledGraph.build(2, ["a", "b", "c"], [(0, {"a", "b"})])
     assert g.connected_components() == [("a", "b"), ("c",)]
+
+
+def _scanned(g, u, dim=None):
+    """Links at ``u`` found by a scan of all links, sorted independently."""
+    found = [l for l in g.links if u in l.ends and dim in (None, l.dim)]
+    return sorted(found, key=lambda l: (l.dim, tuple(sorted(l.ends)), l.id))
+
+
+def _adjacency(g):
+    return {u: g.incident_links(u) for u in g.nodes}
+
+
+def test_incident_links_agree_with_a_scan_under_random_edits():
+    rng = random.Random(4)
+    for _ in range(150):
+        n = rng.randint(0, 3)
+        nodes = [f"v{k}" for k in range(rng.randint(1, 5))]
+        # few nodes, many links: loops and parallel links are common
+        links = [
+            (rng.randint(0, n), {rng.choice(nodes), rng.choice(nodes)})
+            for _ in range(rng.randint(0, 14))
+        ]
+        g = LabeledGraph.build(n, nodes, links)
+        before = (g.nodes, g.links, _adjacency(g))
+        h = g.copy()
+        for step in range(rng.randint(1, 20)):
+            op = rng.random()
+            if op < 0.5 and h.nodes:
+                h._add_link({rng.choice(h.nodes), rng.choice(h.nodes)}, rng.randint(0, n))
+            elif op < 0.75 and h.links:
+                h._remove_link(rng.choice(h.links).id)
+            elif op < 0.85 and h.nodes:
+                h._remove_node(rng.choice(h.nodes))
+            else:
+                h._add_node(f"w{step}")
+        for u in h.nodes:
+            assert list(h.incident_links(u)) == _scanned(h, u)
+            for d in range(n + 1):
+                assert list(h.incident_links(u, d)) == _scanned(h, u, d)
+            for v in h.nodes:
+                pair = [l for l in _scanned(h, u) if set(l.ends) == {u, v}]
+                assert list(h.links_between(u, v)) == pair
+        assert (g.nodes, g.links, _adjacency(g)) == before

@@ -28,7 +28,7 @@ def test_two_triangles_share_one_edge():
     assert len(non_loop_2) == 2
     # the two 2-links pair the shared-edge darts across the faces
     for link in non_loop_2:
-        ends = link.sorted_ends()
+        ends = link.ends
         assert {e.split("e")[1].split("f")[0] for e in ends} == {"0-2"}
     assert g.validate().ok
 

@@ -1,5 +1,6 @@
-"""Property tests: no text reaches a traceback, and serialize∘parse is
-the identity on random valid maps with string and point layers."""
+"""Property tests: no text reaches a traceback, serialize∘parse is the
+identity on random valid maps with string and point layers, and a
+rewrite either gives a valid map or raises, leaving its host as it was."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,8 @@ from gmapkit import (
     Gmap,
     GmapError,
     OrbitType,
+    apply_rule,
+    instantiate_rule,
     parse_gmap,
     parse_rule_scheme,
     serialize_gmap,
@@ -18,6 +21,7 @@ from oracle import random_valid_gmap
 
 GMAP_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.gmap"))]
 RULE_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.jrule"))]
+RULES = [parse_rule_scheme(text) for text in RULE_TEXTS]
 
 # pieces that reach the scanner's edge cases: strings, escapes, comments,
 # numbers in every spelling, symbols of both formats
@@ -81,3 +85,21 @@ def test_serialize_parse_is_identity(g):
     assert back == g
     assert serialize_gmap(back) == text
     assert back.validate().ok
+
+
+@SETTINGS
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from(RULES), st.data())
+def test_rewrite_gives_a_valid_map_or_raises_and_keeps_the_host(seed, n, rule, data):
+    host = random_valid_gmap(seed, n=n, max_darts=8)
+    anchor = data.draw(st.sampled_from(sorted(host.darts)))
+    before = serialize_gmap(host)
+    adjacency = {d: host.graph.incident_links(d) for d in host.darts}
+    try:
+        out = apply_rule(instantiate_rule(rule, host, anchor), host)
+    except GmapError:
+        pass
+    else:
+        assert out.validate().ok
+    assert serialize_gmap(host) == before
+    # the text shows no per-dart link list, so compare those as well
+    assert {d: host.graph.incident_links(d) for d in host.darts} == adjacency

@@ -16,7 +16,6 @@ from gmapkit import (
     UnknownNodeError,
     instantiate_rule,
     instantiate_scheme,
-    iso_check,
 )
 
 from conftest import (
@@ -27,13 +26,14 @@ from conftest import (
     vertex_insert_rhs_free,
     vertex_insert_rhs_sewn,
 )
+from iso import iso_check
 from oracle import random_valid_gmap
 
 PARAM_02 = OrbitType((0, 2))
 
 
 def links_of(g: LabeledGraph):
-    return sorted((l.dim, l.sorted_ends()) for l in g.links)
+    return sorted((l.dim, l.ends) for l in g.links)
 
 
 # -- node instantiation ---------------------------------------------------------
