@@ -46,8 +46,10 @@ def _fail(exc: GmapError) -> int:
 
 
 def _read(path: str) -> str:
+    # newline="": a lone \r stays a blank, as for parse_gmap, not a line break
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from None
 

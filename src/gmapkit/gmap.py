@@ -13,6 +13,7 @@ dart, and all darts of one orbit of the layer's domain type must agree.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -27,6 +28,9 @@ from .orbits import OrbitType
 
 #: Componentwise tolerance for comparing numeric embedding values.
 POINT_TOLERANCE = 1e-9
+
+#: Links from a rewrite's darts to the pivot of a cycle it broke (Gmap._validate_rewritten).
+_PIVOT_RADIUS = 2
 
 #: value type name -> (element python type, arity); "string" is special-cased.
 _NUMERIC_TYPES = {
@@ -103,7 +107,10 @@ class EmbeddingLayer:
         self.values = {d: normalize_value(self.value_type, v) for d, v in self.values.items()}
 
     def copy(self) -> "EmbeddingLayer":
-        return EmbeddingLayer(self.name, self.domain, self.value_type, dict(self.values))
+        """A copy with its own ``values`` dict, not normalized again."""
+        layer = copy.copy(self)
+        layer.values = dict(self.values)
+        return layer
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +201,14 @@ class Gmap:
     Construction checks only shape-level requirements (layer totality,
     dimensions in range); the topological constraints are checked by
     :meth:`validate`, which reports violations as data.
+
+    Only :func:`~gmapkit.rewrite.apply_rule` marks the maps it returns
+    known-valid (``_known_valid``); editing one in place voids the mark.
     """
 
     def __init__(self, graph: LabeledGraph, embeddings: Iterable[EmbeddingLayer] = ()):
         self.graph = graph
+        self._known_valid = False
         self.embeddings: dict[str, EmbeddingLayer] = {}
         for layer in embeddings:
             if layer.name in self.embeddings:
@@ -240,7 +251,10 @@ class Gmap:
         return self.graph.nodes
 
     def copy(self) -> "Gmap":
-        return Gmap(self.graph.copy(), (l.copy() for l in self.embeddings.values()))
+        """An equal map sharing no mutable state, not marked known-valid."""
+        g = Gmap(self.graph.copy())
+        g.embeddings = {name: layer.copy() for name, layer in self.embeddings.items()}
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gmap):
@@ -323,9 +337,12 @@ class Gmap:
 
     def orbit_partition(self, o: OrbitType) -> list[tuple[str, ...]]:
         """All orbits of type ``o``, each a sorted dart tuple."""
+        return self._orbits(o, self.darts)
+
+    def _orbits(self, o: OrbitType, darts: Iterable[str]) -> list[tuple[str, ...]]:
         seen: set[str] = set()
         out: list[tuple[str, ...]] = []
-        for d in sorted(self.darts):
+        for d in sorted(darts):
             if d in seen:
                 continue
             members = self.orbit_darts(o, d)
@@ -335,16 +352,16 @@ class Gmap:
 
     # -- validation --------------------------------------------------------
 
-    def _incidence_violations(self) -> list[IncidenceViolation]:
+    def _incidence_violations(self, darts: set[str] | None = None) -> list[IncidenceViolation]:
         out = []
-        for d in self.darts:
+        for d in self.darts if darts is None else darts:
             for i in range(self.n + 1):
                 found = len(self.graph.incident_links(d, i))
                 if found != 1:
                     out.append(IncidenceViolation(d, i, found))
         return out
 
-    def _cycle_violations(self) -> list[CycleViolation]:
+    def _cycle_violations(self, pivots: set[str] | None = None) -> list[CycleViolation]:
         # Enumerates exactly the link 4-tuples (l0,l1,l2,l3) labeled
         # i,j,i,j whose consecutive end sets intersect, by pivoting on a
         # shared dart at each junction; flags tuples whose outer end sets
@@ -354,7 +371,7 @@ class Gmap:
         g = self.graph
         for i in range(self.n + 1):
             for j in range(i + 2, self.n + 1):
-                for x1 in g.nodes:
+                for x1 in g.nodes if pivots is None else pivots:
                     for l0 in g.incident_links(x1, i):
                         for l1 in g.incident_links(x1, j):
                             for x2 in l1.ends:
@@ -375,9 +392,11 @@ class Gmap:
                                             )
         return list(found.values())
 
-    def _embedding_violations(self, layer: EmbeddingLayer) -> list[EmbeddingViolation]:
+    def _embedding_violations(
+        self, layer: EmbeddingLayer, darts: set[str] | None = None
+    ) -> list[EmbeddingViolation]:
         out = []
-        for orbit in self.orbit_partition(layer.domain):
+        for orbit in self._orbits(layer.domain, self.darts if darts is None else darts):
             rep = orbit[0]
             bad = tuple(
                 d
@@ -390,9 +409,32 @@ class Gmap:
 
     def validate(self) -> ValidationReport:
         """Full scan for incidence, cycle, and embedding violations."""
+        return self._report()
+
+    def _report(self, darts: set[str] | None = None, pivots: set[str] | None = None) -> ValidationReport:
         violations: list[Violation] = []
-        violations.extend(self._incidence_violations())
-        violations.extend(self._cycle_violations())
+        violations.extend(self._incidence_violations(darts))
+        violations.extend(self._cycle_violations(pivots))
         for layer in self.embeddings.values():
-            violations.extend(self._embedding_violations(layer))
+            violations.extend(self._embedding_violations(layer, darts))
         return ValidationReport(tuple(violations))
+
+    def _validate_rewritten(self, touched: set[str]) -> ValidationReport:
+        """:meth:`validate` of a map made from a valid map by a rewrite that
+        changed links only at the darts ``touched``.
+
+        Other darts keep one link per dimension, and orbits without a
+        touched dart keep their values: incidence and embeddings are
+        checked at ``touched``.  As old i,j,i,j paths closed, a violated
+        one has a new link; its pivot (the dart its first two links share)
+        is 0, 1 or 2 links from the ends of the first new link on it, as
+        that is its first or second, third, or fourth link.  The region
+        walk stops at the whole map, which gets the full scan.
+        """
+        region = set(touched)
+        for _ in range(_PIVOT_RADIUS):
+            if len(region) < len(self.graph):
+                region |= {v for u in region for link in self.graph.incident_links(u) for v in link.ends}
+        if len(region) == len(self.graph):
+            return self.validate()
+        return self._report(touched, region)

@@ -9,8 +9,11 @@ completion is a joint traversal of the pattern and the host.
 Application deletes the images of left-only darts and of every left
 link, adds the right side (routing preserved names through the match),
 fills embedding values of created darts from directives, and then
-re-validates: instantiation alone does not guarantee the result is a
-generalized map, so the check is mandatory.
+validates: instantiation alone does not guarantee the result is a
+generalized map, so the check is mandatory.  Its result is marked
+known-valid, and on such a host the check covers only the darts near
+the rewrite (``Gmap._validate_rewritten``), with the same report; any
+other host is validated in full.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ def _directive_value(
     match: Match,
 ) -> Any:
     if directive.kind == "constant":
-        return normalize_value(layer.value_type, directive.value)
+        return directive.value
     ref = directive.ref
     if directive.kind == "inherit":
         source = instance_name(orbit_dart, ref)
@@ -280,7 +283,10 @@ def apply_rule(
     links outside the match image, :class:`MissingDirectiveError` when a
     created dart lacks a value for some layer, and
     :class:`PostValidationError` (carrying the full report) when the
-    result violates the generalized-map constraints.
+    result violates the generalized-map constraints.  When ``gmap`` is
+    itself a result of this function, only the darts near the rewrite
+    are checked, which finds the same violations.  Returned maps are
+    marked as such; the host is never changed.
     """
     if match is None:
         match = complete_match(rule, gmap)
@@ -305,7 +311,8 @@ def apply_rule(
                     f"{'-'.join(host_link.ends)} of dimension {host_link.dim}"
                 )
 
-    graph = gmap.graph.copy()
+    result = gmap.copy()
+    graph = result.graph
     for link_id in sorted(matched_ids):
         graph._remove_link(link_id)
     for a in sorted(deleted_darts):
@@ -327,9 +334,10 @@ def apply_rule(
     for link in rule.right.links:
         graph._add_link({resolve[u] for u in link.ends}, link.dim)
 
-    layers = []
     for layer in gmap.embeddings.values():
-        values = {d: v for d, v in layer.values.items() if d not in deleted_darts}
+        values = result.embeddings[layer.name].values
+        for a in deleted_darts:
+            del values[a]
         for q, host_name in created:
             orbit_dart, node = split_instance(q)
             directive = table.get(layer.name, node)
@@ -337,14 +345,16 @@ def apply_rule(
                 raise MissingDirectiveError(
                     f"no directive for layer {layer.name!r} on created node {node!r}"
                 )
-            values[host_name] = _directive_value(directive, layer, orbit_dart, rule, match)
-        layers.append(EmbeddingLayer(layer.name, layer.domain, layer.value_type, values))
+            value = _directive_value(directive, layer, orbit_dart, rule, match)
+            values[host_name] = normalize_value(layer.value_type, value)
 
-    result = Gmap(graph, layers)
-    report = result.validate()
+    # links changed only at preserved and created darts
+    touched = set(resolve.values())
+    report = result._validate_rewritten(touched) if gmap._known_valid else result.validate()
     if not report.ok:
         raise PostValidationError(
             f"rewrite by {rule.rule.name!r} produced {len(report)} constraint violations",
             report,
         )
+    result._known_valid = True
     return result

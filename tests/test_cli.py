@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gmapkit
+from gmapkit import ParseError, parse_gmap
 from gmapkit.cli import main
 
 from conftest import FIXTURES, fixture_text
@@ -204,6 +205,22 @@ def test_syntax_error_exits_2(workdir, capsys):
     (workdir / "bad.gmap").write_text("dimension 2\ndarts {\n")
     assert main(["validate", "bad.gmap"]) == 2
     assert "E_SYNTAX" in capsys.readouterr().err
+
+
+def test_lone_carriage_return_reads_as_for_parse_gmap(workdir, capsys):
+    text = "dimension 2\rdarts { $ }"
+    (workdir / "cr.gmap").write_bytes(text.encode())
+    with pytest.raises(ParseError) as exc:
+        parse_gmap(text)
+    assert main(["validate", "cr.gmap"]) == 2
+    assert capsys.readouterr().err == f"E_SYNTAX {exc.value}\n"
+
+
+def test_crlf_document_validates(workdir, capsys):
+    crlf = fixture_text("square.gmap").replace("\n", "\r\n")
+    (workdir / "crlf.gmap").write_bytes(crlf.encode())
+    assert main(["validate", "crlf.gmap"]) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_missing_file_reported(workdir, capsys):

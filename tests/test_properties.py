@@ -1,6 +1,8 @@
 """Property tests: no text reaches a traceback, serialize∘parse is the
-identity on random valid maps with string and point layers, and a
-rewrite either gives a valid map or raises, leaving its host as it was."""
+identity on random valid maps with string and point layers, a rewrite
+either gives a valid map or raises, leaving its host as it was, and a
+rewrite of a known-valid host (checked locally) ends as the same rewrite
+of an unmarked copy (checked in full)."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +11,14 @@ from gmapkit import (
     Gmap,
     GmapError,
     OrbitType,
+    PostValidationError,
     apply_rule,
     instantiate_rule,
     parse_gmap,
+    parse_directive,
     parse_rule_scheme,
     serialize_gmap,
+    split_instance,
 )
 
 from conftest import FIXTURES, fixture_text
@@ -103,3 +108,73 @@ def test_rewrite_gives_a_valid_map_or_raises_and_keeps_the_host(seed, n, rule, d
     assert serialize_gmap(host) == before
     # the text shows no per-dart link list, so compare those as well
     assert {d: host.graph.incident_links(d) for d in host.darts} == adjacency
+
+
+def _tagged(g: Gmap, domain: OrbitType, draw) -> Gmap:
+    """``g`` with a valid ``tag`` layer: one value of 0 or 1 per orbit."""
+    values = {}
+    for orbit in g.orbit_partition(domain):
+        tag = draw(st.sampled_from([0.0, 1.0]))
+        values.update((d, tag) for d in orbit)
+    return Gmap(g.graph, [EmbeddingLayer("tag", domain, "scalar", values)])
+
+
+@st.composite
+def pendant_rules(draw, n):
+    """A rule on a one-dimension orbit that redecorates its copies and
+    may link each to a created copy.  Unlike the fixture rules, it adds
+    links next to old links of every other dimension, so a violated
+    cycle path can have its one new link last, two links from its pivot;
+    and it can unlink a dart without linking it again."""
+    dim = draw(st.integers(0, n))
+
+    def decoration():
+        return draw(st.sampled_from(["_"] + [str(d) for d in range(n + 1)]))
+
+    arc = draw(st.sampled_from([""] + [f"n0 -{d}- n1" for d in range(n + 1)]))
+    return parse_rule_scheme(
+        f"rule P <{dim}> {{ left {{ n0: <{dim}> hook }} "
+        f"right {{ n0: <{decoration()}> n1: <{decoration()}> {arc} }} }}"
+    )
+
+
+def _outcome(rule, host, anchor, directives):
+    """What rewriting ``host`` gives: the result, or the error and its report."""
+    try:
+        out = apply_rule(instantiate_rule(rule, host, anchor), host, directives=directives)
+    except PostValidationError as exc:
+        return None, (PostValidationError, exc.report.lines())
+    except GmapError as exc:
+        return None, (type(exc), str(exc))
+    return out, serialize_gmap(out)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_local_post_validation_agrees_with_full_validation(seed, n, data):
+    # large enough that the checked region is seldom the whole map
+    host = random_valid_gmap(seed, n=n, max_darts=24)
+    dims = data.draw(st.sets(st.integers(0, n)))
+    host = _tagged(host, OrbitType(tuple(sorted(dims))), data.draw)
+    assert host.validate().ok
+    host._known_valid = True  # as if a rewrite had returned it
+    for _ in range(data.draw(st.integers(1, 3))):
+        rule = data.draw(st.sampled_from(RULES) | pendant_rules(n))
+        anchor = data.draw(st.sampled_from(sorted(host.darts)))
+        try:
+            inst = instantiate_rule(rule, host, anchor)
+        except GmapError:
+            continue
+        created = sorted({split_instance(q)[1] for q in inst.right_only})
+        matched = sorted({split_instance(x)[1] for x in inst.left.nodes})
+        kinds = ["constant(0)", "constant(1)"] + [f"inherit({m})" for m in matched]
+        directives = [parse_directive(f"tag:{c}={data.draw(st.sampled_from(kinds))}") for c in created]
+        plain = parse_gmap(serialize_gmap(host))
+        assert not plain._known_valid
+        out, said = _outcome(rule, host, anchor, directives)
+        plain_out, plain_said = _outcome(rule, plain, anchor, directives)
+        assert said == plain_said
+        if out is not None:
+            assert out == plain_out
+            assert out._known_valid and plain_out._known_valid
+            host = out

@@ -6,7 +6,9 @@ from gmapkit import (
     DanglingDartError,
     DirectiveError,
     EmbeddingViolation,
+    Gmap,
     IncidenceViolation,
+    LabeledGraph,
     MissingDirectiveError,
     PostValidationError,
     apply_rule,
@@ -15,9 +17,11 @@ from gmapkit import (
     parse_directive,
     parse_gmap,
     parse_rule_scheme,
+    serialize_gmap,
 )
 
-from conftest import fixture_text
+from conftest import fixture_text, square_mesh
+from gmapkit.mesh import unify
 
 MIDPOINT = parse_directive("pos:n1=midpoint(n0)")
 
@@ -179,8 +183,6 @@ def test_directive_for_unknown_layer_rejected(vi_rule, square_gmap):
 
 
 def test_apply_output_is_byte_stable(vi_rule, square_gmap):
-    from gmapkit import serialize_gmap
-
     def run():
         inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
         return serialize_gmap(apply_rule(inst, square_gmap, directives=[MIDPOINT]))
@@ -198,3 +200,51 @@ def test_fresh_names_get_suffixed_on_collision(vi_rule, square_gmap):
     assert [len(twice.cells(i)) for i in range(3)] == [6, 6, 1]
     assert any("#1" in d for d in twice.darts)
     assert twice.validate().ok
+
+
+# -- local post-validation of known-valid hosts ------------------------------------
+
+
+def test_local_check_reaches_a_pivot_two_links_from_the_new_link(identity_rule):
+    # a sewn edge a,b,c,d plus a lone dart e, so the checked region is not
+    # the whole map; the rule 2-links a to a new dart a@n1
+    g = Gmap.build(
+        2,
+        "abcde",
+        [(0, "ab"), (0, "cd"), (2, "ac"), (2, "bd"), (0, "e"), (2, "e")]
+        + [(1, d) for d in "abcde"],
+    )
+    host = apply_rule(instantiate_rule(identity_rule, g, "e"), g)
+    assert host._known_valid and host == g
+    pendant = parse_rule_scheme("rule P <1> { left { n0: <1> hook } right { n0: <1> n1: <_> n0 -2- n1 } }")
+    with pytest.raises(PostValidationError) as local:
+        apply_rule(instantiate_rule(pendant, host, "a"), host)
+    with pytest.raises(PostValidationError) as full:
+        apply_rule(instantiate_rule(pendant, g, "a"), g)
+    assert local.value.report.lines() == full.value.report.lines()
+    # its pivot d is two links from a and a@n1, the ends of the only new link
+    assert "E_CYCLE i=0 j=2 path: c-0-d . b-2-d . a-0-b . a-2-a@n1" in local.value.report.lines()
+
+
+def test_unmarked_broken_host_gets_a_full_report(vi_rule):
+    square = unify(square_mesh())
+    # a lone dart z with no 2-link, far from the rewrite
+    links = [(l.dim, l.ends) for l in square.graph.links] + [(0, ["z"]), (1, ["z"])]
+    broken = Gmap(LabeledGraph.build(2, square.darts + ("z",), links))
+    assert broken.validate().lines() == ["E_INCIDENCE dart=z dim=2 found=0"]
+    for g in (broken, broken.copy(), parse_gmap(serialize_gmap(broken))):
+        assert not g._known_valid
+        with pytest.raises(PostValidationError) as exc:
+            apply_rule(instantiate_rule(vi_rule, g, "v0e0-1f0"), g)
+        assert exc.value.report.lines() == ["E_INCIDENCE dart=z dim=2 found=0"]
+        assert not g._known_valid
+
+
+def test_failed_rewrite_leaves_a_known_valid_host_as_it_was(broken_rule, vi_rule, square_gmap):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    host = apply_rule(inst, square_gmap, directives=[MIDPOINT])
+    assert host._known_valid and not square_gmap._known_valid
+    before = serialize_gmap(host)
+    with pytest.raises(PostValidationError):
+        apply_rule(instantiate_rule(broken_rule, host, "v0e0-1f0"), host, directives=[MIDPOINT])
+    assert host._known_valid and serialize_gmap(host) == before
