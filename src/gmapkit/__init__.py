@@ -44,7 +44,6 @@ from .orbits import (
     GeneralizedOrbitType,
     OrbitType,
     RelabelingFunction,
-    apply_relabeling,
 )
 from .rewrite import (
     EmbeddingDirective,

@@ -314,16 +314,8 @@ class Gmap:
         """
         order = self.orbit_darts(o, dart)
         dims = set(o)
-        out = LabeledGraph(self.n)
-        for u in order:
-            out._add_node(u)
-        added: set[str] = set()
-        for u in order:
-            for link in self.graph.incident_links(u):
-                if link.dim in dims and link.id not in added:
-                    added.add(link.id)
-                    out._add_link(link.ends, link.dim)
-        return out
+        links = {l.id: l for u in order for l in self.graph.incident_links(u) if l.dim in dims}
+        return LabeledGraph.build(self.n, order, ((l.dim, l.ends) for l in links.values()))
 
     def cell_type(self, i: int) -> OrbitType:
         """Orbit type of i-cells: all dimensions of 0..n except ``i``."""
@@ -363,33 +355,32 @@ class Gmap:
 
     def _cycle_violations(self, pivots: set[str] | None = None) -> list[CycleViolation]:
         # Enumerates exactly the link 4-tuples (l0,l1,l2,l3) labeled
-        # i,j,i,j whose consecutive end sets intersect, by pivoting on a
-        # shared dart at each junction; flags tuples whose outer end sets
-        # are disjoint.  Near-linear on valid maps, still exhaustive on
-        # broken ones.
+        # i,j,i,j (j >= i+2) whose consecutive end sets intersect, by
+        # pivoting on a shared dart at each junction; flags tuples whose
+        # outer end sets are disjoint.  The pairs (i, j) come from each
+        # pivot's own links, so the declared dimension costs nothing.
+        # Near-linear on valid maps, still exhaustive on broken ones.
         found: dict[tuple, CycleViolation] = {}
         g = self.graph
-        for i in range(self.n + 1):
-            for j in range(i + 2, self.n + 1):
-                for x1 in g.nodes if pivots is None else pivots:
-                    for l0 in g.incident_links(x1, i):
-                        for l1 in g.incident_links(x1, j):
-                            for x2 in l1.ends:
-                                for l2 in g.incident_links(x2, i):
-                                    for x3 in l2.ends:
-                                        for l3 in g.incident_links(x3, j):
-                                            e0, e3 = l0.ends, l3.ends
-                                            if e3[0] in e0 or e3[-1] in e0:
-                                                continue
-                                            key = (i, j, l0.id, l1.id, l2.id, l3.id)
-                                            if key in found:
-                                                continue
-                                            chain = tuple(
-                                                (l.dim, l.ends) for l in (l0, l1, l2, l3)
-                                            )
-                                            found[key] = CycleViolation(
-                                                i, j, (l0.id, l1.id, l2.id, l3.id), chain
-                                            )
+        for x1 in g.nodes if pivots is None else pivots:
+            links = g.incident_links(x1)
+            for l0 in links:
+                i = l0.dim
+                for l1 in links:
+                    j = l1.dim
+                    if j < i + 2:
+                        continue
+                    for x2 in l1.ends:
+                        for l2 in g.incident_links(x2, i):
+                            for x3 in l2.ends:
+                                for l3 in g.incident_links(x3, j):
+                                    e0, e3 = l0.ends, l3.ends
+                                    if e3[0] in e0 or e3[-1] in e0:
+                                        continue
+                                    key = (i, j, l0.id, l1.id, l2.id, l3.id)
+                                    if key not in found:
+                                        chain = tuple((l.dim, l.ends) for l in (l0, l1, l2, l3))
+                                        found[key] = CycleViolation(i, j, key[2:], chain)
         return list(found.values())
 
     def _embedding_violations(

@@ -63,18 +63,6 @@ class PolygonalMesh:
             if count > 2:
                 raise NonManifoldEdgeError(f"edge {key} is used by {count} faces")
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Distinct undirected edges, sorted."""
-        out = set()
-        for face in self.faces:
-            for p, a in enumerate(face):
-                out.add(_edge_key(a, face[(p + 1) % len(face)]))
-        return tuple(sorted(out))
-
-    def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces)
-
 
 def dart_name(vertex: int, edge: tuple[int, int], face: int) -> str:
     a, b = _edge_key(*edge)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import RelabelingError
-from .graph import LabeledGraph
 
 
 class _Remove:
@@ -119,25 +118,3 @@ class RelabelingFunction:
 
     def __repr__(self) -> str:
         return f"{self.source!r}->{self.target!r}"
-
-
-def apply_relabeling(f: RelabelingFunction, h: LabeledGraph) -> LabeledGraph:
-    """Rename link labels of ``h`` through ``f``; drop those mapped to ``_``.
-
-    Nodes are untouched.  Every link dimension of ``h`` must lie in the
-    source type of ``f``.
-    """
-    mapping = f.mapping
-    out = LabeledGraph(h.ambient_dimension)
-    for u in h.nodes:
-        out._add_node(u)
-    for link in h.links:
-        if link.dim not in mapping:
-            raise RelabelingError(
-                f"link dimension {link.dim} not mapped by {f!r}"
-            )
-        new_dim = mapping[link.dim]
-        if isinstance(new_dim, _Remove):
-            continue
-        out._add_link(link.ends, new_dim)
-    return out

@@ -1,11 +1,17 @@
-"""Graph schemes, rule schemes, and their unfolding against orbit graphs.
+"""Graph schemes, rule schemes, and their instantiation on orbit graphs.
 
-A graph scheme is a folded pattern: each node carries a generalized
-orbit type of the same length as the scheme's parameter type, read as
-the relabeling to apply to a copy of the concrete orbit graph.  Arcs of
-the scheme connect same-origin darts across copies.  A rule scheme
-pairs two graph schemes over one parameter; unfolding both against the
-orbit of an anchor dart yields a concrete rewrite rule.
+A graph scheme is a folded pattern over a parameter orbit type: each
+node carries a generalized orbit type of the parameter's length, read
+as a relabeling ``f_n``, and each arc ``a -k- b`` joins two nodes.  Its
+instance on an orbit graph is defined on sets:
+
+- nodes: ``u@n`` for each scheme node ``n`` and each orbit dart ``u``;
+- relabeled links: ``u@n -f_n(i)- v@n`` for each scheme node ``n`` and
+  each orbit link ``u -i- v`` whose ``f_n(i)`` is not ``_``;
+- arc links: ``u@a -k- u@b`` for each arc ``a -k- b`` and orbit dart ``u``.
+
+A rule scheme pairs two graph schemes over one parameter; instantiating
+both on the orbit of an anchor dart yields a concrete rewrite rule.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import SchemeError, UnknownNodeError
 from .graph import LabeledGraph
-from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction, apply_relabeling
+from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction
 
 if TYPE_CHECKING:
     from .gmap import Gmap
@@ -130,20 +136,27 @@ def _check_orbit_graph(o: OrbitType, orbit_graph: LabeledGraph) -> None:
 
 
 def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
-    """Unfold ``scheme`` with ``orbit_graph``: the union of one relabeled
-    orbit copy per scheme node, plus one link per (scheme arc, orbit dart)."""
+    """The instance of ``scheme`` on ``orbit_graph``, as the module
+    docstring defines it.
+
+    Nodes come scheme node by scheme node, each in orbit dart order.
+    Links come scheme node by scheme node in orbit link order, then arc
+    by arc in sorted dart order; link ids follow that order.
+    """
     _check_orbit_graph(scheme.parameter, orbit_graph)
-    out = LabeledGraph(orbit_graph.ambient_dimension)
+    darts = orbit_graph.nodes
+    links = []
     for name, decoration in scheme.nodes:
-        copy = apply_relabeling(RelabelingFunction(scheme.parameter, decoration), orbit_graph)
-        for u in copy.nodes:
-            out._add_node(instance_name(u, name))
-        for link in copy.links:
-            out._add_link({instance_name(u, name) for u in link.ends}, link.dim)
+        f = RelabelingFunction(scheme.parameter, decoration).mapping
+        for link in orbit_graph.links:
+            dim = f[link.dim]
+            if isinstance(dim, int):
+                links.append((dim, [instance_name(u, name) for u in link.ends]))
     for arc in scheme.arcs:
-        for u in sorted(orbit_graph.nodes):
-            out._add_link({instance_name(u, arc.a), instance_name(u, arc.b)}, arc.dim)
-    return out
+        for u in sorted(darts):
+            links.append((arc.dim, (instance_name(u, arc.a), instance_name(u, arc.b))))
+    nodes = [instance_name(u, name) for name in scheme.node_names for u in darts]
+    return LabeledGraph.build(orbit_graph.ambient_dimension, nodes, links)
 
 
 @dataclass(frozen=True)

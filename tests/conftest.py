@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from gmapkit import Gmap, LabeledGraph, parse_gmap, parse_rule_scheme
+from gmapkit import (
+    Gmap,
+    GraphScheme,
+    LabeledGraph,
+    instantiate_scheme,
+    parse_gmap,
+    parse_rule_scheme,
+)
 from gmapkit.mesh import PolygonalMesh, unify
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,6 +33,11 @@ def sewn_edge_graph() -> LabeledGraph:
         ["a", "b", "c", "d"],
         [(0, {"a", "b"}), (0, {"c", "d"}), (2, {"a", "c"}), (2, {"b", "d"})],
     )
+
+
+def instantiate_node(name, decoration, orbit_graph, parameter):
+    """One relabeled copy of the orbit graph: a one-node scheme with no arcs."""
+    return instantiate_scheme(GraphScheme(parameter, ((name, decoration),)), orbit_graph)
 
 
 def vertex_insert_lhs_free() -> LabeledGraph:

@@ -1,8 +1,9 @@
 """Naive reference implementations used by the test suite.
 
 Everything here trades speed for obviousness: validation enumerates raw
-link 4-tuples, orbits are a reachability fixpoint, and matching is an
-exhaustive backtracking search.  The test suite checks that the kernel
+link 4-tuples, orbits are a reachability fixpoint, instantiation is the
+set definition of a scheme's instance, and matching is an exhaustive
+backtracking search.  The test suite checks that the kernel
 agrees with these on generated instances; none of this is reachable
 from the CLI.  Instances are capped at desk scale (tens of darts).
 """
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from gmapkit.errors import MatchError
+from gmapkit.errors import DimensionError, MatchError
 from gmapkit.gmap import (
     CycleViolation,
     EmbeddingViolation,
@@ -23,9 +24,9 @@ from gmapkit.gmap import (
     values_equal,
 )
 from gmapkit.graph import LabeledGraph
-from gmapkit.orbits import OrbitType
+from gmapkit.orbits import REMOVE, OrbitType, RelabelingFunction
 from gmapkit.rewrite import complete_match
-from gmapkit.scheme import InstantiatedRule
+from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,38 @@ def oracle_orbit(g: Gmap, o: OrbitType, dart: str) -> frozenset[str]:
                 members |= set(link.ends)
                 changed = True
     return frozenset(members)
+
+
+def oracle_instantiate(
+    scheme: GraphScheme, orbit_graph: LabeledGraph
+) -> tuple[frozenset[str], tuple[tuple[int, tuple[str, ...]], ...]]:
+    """The node set and the sorted ``(dim, ends)`` link multiset of the
+    instance of ``scheme`` on ``orbit_graph``, by its set definition:
+
+    - nodes: ``u@n`` for each scheme node ``n`` and each orbit dart ``u``;
+    - for each orbit link ``u -i- v`` whose ``f_n(i)`` is not ``_``, the
+      link ``u@n -f_n(i)- v@n``;
+    - for each scheme arc ``a -k- b`` and each orbit dart ``u``, the link
+      ``u@a -k- u@b``.
+
+    A link dimension above the orbit graph's raises ``DimensionError``.
+    """
+    nodes = frozenset(instance_name(u, n) for n in scheme.node_names for u in orbit_graph.nodes)
+    links = []
+    for n, decoration in scheme.nodes:
+        f = RelabelingFunction(scheme.parameter, decoration).mapping
+        for link in orbit_graph.links:
+            if f[link.dim] is not REMOVE:
+                ends = {instance_name(u, n) for u in link.ends}
+                links.append((f[link.dim], tuple(sorted(ends))))
+    for arc in scheme.arcs:
+        for u in orbit_graph.nodes:
+            ends = {instance_name(u, arc.a), instance_name(u, arc.b)}
+            links.append((arc.dim, tuple(sorted(ends))))
+    for dim, ends in links:
+        if dim > orbit_graph.ambient_dimension:
+            raise DimensionError(f"{ends} link of dimension {dim} > {orbit_graph.ambient_dimension}")
+    return nodes, tuple(sorted(links))
 
 
 def oracle_match(

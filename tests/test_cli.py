@@ -57,6 +57,12 @@ def test_validate_is_idempotent(workdir, capsys):
     assert first == second
 
 
+def test_validate_empty_map_of_huge_dimension(workdir, capsys):
+    (workdir / "big.gmap").write_text("dimension 1000000\ndarts {\n}\nlinks {\n}\n")
+    assert main(["validate", "big.gmap"]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
 def test_cells_prints_one_cell_per_line(workdir, capsys):
     assert main(["cells", "square.gmap", "--dim", "0"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -10,6 +10,7 @@ from gmapkit import (
     EmbeddingViolation,
     Gmap,
     IncidenceViolation,
+    LabeledGraph,
     OrbitType,
     UnknownNodeError,
 )
@@ -74,6 +75,11 @@ def test_validation_report_lines_are_sorted_and_stable(broken_cycle_gmap):
     r1 = broken_cycle_gmap.validate()
     r2 = broken_cycle_gmap.validate()
     assert r1.lines() == r2.lines() == sorted(r1.lines())
+
+
+def test_validate_time_does_not_follow_the_declared_dimension():
+    # cycle pairs (i, j) come from the links present, not from 0..n
+    assert Gmap(LabeledGraph(10**6)).validate().ok
 
 
 # -- alpha ---------------------------------------------------------------------

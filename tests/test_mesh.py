@@ -50,7 +50,8 @@ def test_euler_characteristic_preserved():
     for mesh in (square_mesh(), triangle_mesh(), two_triangles_mesh()):
         g = unify(mesh)
         v, e, f = (len(g.cells(i)) for i in range(3))
-        assert v - e + f == mesh.euler_characteristic()
+        edges = {frozenset((a, face[p - 1])) for face in mesh.faces for p, a in enumerate(face)}
+        assert v - e + f == len(mesh.vertices) - len(edges) + len(mesh.faces)
 
 
 def test_positions_copied_per_vertex():

@@ -1,19 +1,28 @@
 """Property tests: no text reaches a traceback, serialize∘parse is the
-identity on random valid maps with string and point layers, a rewrite
-either gives a valid map or raises, leaving its host as it was, and a
-rewrite of a known-valid host (checked locally) ends as the same rewrite
-of an unmarked copy (checked in full)."""
+identity on random valid maps with string and point layers, a scheme's
+instance is its set definition, a rewrite either gives a valid map or
+raises, leaving its host as it was, and a rewrite of a known-valid host
+(checked locally) ends as the same rewrite of an unmarked copy (checked
+in full)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmapkit import (
+    REMOVE,
+    DimensionError,
     EmbeddingLayer,
+    GeneralizedOrbitType,
     Gmap,
     GmapError,
+    GraphScheme,
+    LabeledGraph,
     OrbitType,
     PostValidationError,
+    SchemeArc,
     apply_rule,
     instantiate_rule,
+    instantiate_scheme,
     parse_gmap,
     parse_directive,
     parse_rule_scheme,
@@ -22,7 +31,7 @@ from gmapkit import (
 )
 
 from conftest import FIXTURES, fixture_text
-from oracle import random_valid_gmap
+from oracle import oracle_instantiate, random_valid_gmap
 
 GMAP_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.gmap"))]
 RULE_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.jrule"))]
@@ -90,6 +99,57 @@ def test_serialize_parse_is_identity(g):
     assert back == g
     assert serialize_gmap(back) == text
     assert back.validate().ok
+
+
+# dart names whose order changes once "@node" is appended ("-" < "@" < "0")
+DART_NAMES = ["a", "a-b", "a0", "b", "Z"]
+
+
+@st.composite
+def schemes_on_orbits(draw):
+    """A random scheme and a connected orbit graph of its parameter.
+
+    The orbit graph of dimension ``n`` has 1-5 darts on a random
+    spanning tree plus extra links, loops and parallels among them.  The
+    scheme has 1-3 nodes, ``_`` entries and arcs; its dimensions reach
+    ``n + 2``, so some instances raise ``DimensionError``."""
+    n = draw(st.integers(0, 3))
+    param = tuple(sorted(draw(st.sets(st.integers(0, n), min_size=1))))
+    darts = draw(st.lists(st.sampled_from(DART_NAMES), min_size=1, unique=True))
+    dim = st.sampled_from(param)
+    links = [(draw(dim), {u, draw(st.sampled_from(darts[:k]))}) for k, u in enumerate(darts) if k]
+    end = st.sampled_from(darts)
+    links += draw(st.lists(st.tuples(dim, st.builds(lambda a, b: {a, b}, end, end)), max_size=4))
+    orbit_graph = LabeledGraph.build(n, darts, links)
+
+    names = [f"m{k}" for k in range(draw(st.integers(1, 3)))]
+    nodes = []
+    for name in names:
+        targets = draw(st.permutations(range(n + 3)))[: len(param)]
+        removed = draw(st.lists(st.booleans(), min_size=len(param), max_size=len(param)))
+        entries = tuple(REMOVE if r else t for t, r in zip(targets, removed))
+        nodes.append((name, GeneralizedOrbitType(entries)))
+    arcs = []
+    if len(names) > 1:
+        pairs = st.permutations(names).map(lambda p: p[:2])
+        for a, b in draw(st.lists(pairs, max_size=3)):
+            arcs.append(SchemeArc(a, draw(st.integers(0, n + 2)), b))
+    return GraphScheme(OrbitType(param), tuple(nodes), tuple(arcs)), orbit_graph
+
+
+@settings(SETTINGS, max_examples=300)
+@given(schemes_on_orbits())
+def test_instantiate_scheme_is_the_set_definition(case):
+    scheme, orbit_graph = case
+    try:
+        expected = oracle_instantiate(scheme, orbit_graph)
+    except DimensionError:
+        with pytest.raises(DimensionError):
+            instantiate_scheme(scheme, orbit_graph)
+        return
+    out = instantiate_scheme(scheme, orbit_graph)
+    assert len(out.nodes) == len(expected[0])
+    assert (frozenset(out.nodes), out.link_signature()) == expected
 
 
 @SETTINGS

@@ -20,6 +20,7 @@ from gmapkit import (
 
 from conftest import (
     free_edge_graph,
+    instantiate_node,
     sewn_edge_graph,
     vertex_insert_lhs_free,
     vertex_insert_lhs_sewn,
@@ -37,11 +38,6 @@ def links_of(g: LabeledGraph):
 
 
 # -- node instantiation ---------------------------------------------------------
-
-
-def instantiate_node(name, decoration, orbit_graph, parameter):
-    """One relabeled copy of the orbit graph: a one-node scheme with no arcs."""
-    return instantiate_scheme(GraphScheme(parameter, ((name, decoration),)), orbit_graph)
 
 
 def test_instantiate_node_relabels_copy():
