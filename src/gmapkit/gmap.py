@@ -286,25 +286,11 @@ class Gmap:
     # -- orbits and cells --------------------------------------------------
 
     def orbit_darts(self, o: OrbitType, dart: str) -> tuple[str, ...]:
-        """The darts reachable from ``dart`` through links with dims in ``o``.
-
-        Darts appear in BFS discovery order: at each dart its links are
-        visited dimensions ascending, and each link's ends in sorted order.
-        """
+        """The darts reachable from ``dart`` through links with dims in ``o``,
+        in the BFS discovery order of :meth:`LabeledGraph.reach`."""
         if dart not in self.graph:
             raise UnknownNodeError(f"unknown dart {dart!r}")
-        dims = set(o)
-        order: list[str] = [dart]
-        seen = {dart}
-        for u in order:  # the list grows while read: it is the BFS queue
-            for link in self.graph.incident_links(u):
-                if link.dim not in dims:
-                    continue
-                for v in link.ends:
-                    if v not in seen:
-                        seen.add(v)
-                        order.append(v)
-        return tuple(order)
+        return self.graph.reach((dart,), set(o))
 
     def orbit(self, o: OrbitType, dart: str) -> LabeledGraph:
         """The sub-map reachable from ``dart`` through links with dims in ``o``.

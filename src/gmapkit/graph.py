@@ -10,6 +10,11 @@ Each node keeps one list of its incident links (a loop once), kept in
 the canonical order ``(dim, ends, id)`` as links are inserted.  That is
 the natural order of :class:`Link`, so no read has to sort.
 
+:meth:`LabeledGraph.reach` is the one traversal, for orbits, orbit-graph
+connectivity and match completion.  Its BFS order is a contract: the
+starts first, in order and deduplicated, then at each node its links in
+canonical order, each link's ends in sorted order.
+
 Callers build a graph in one step with :meth:`LabeledGraph.build`.
 Only the library itself uses the underscore-prefixed in-place mutators:
 its constructors, and rule application on a :meth:`~LabeledGraph.copy`
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import (
     ArityError,
@@ -164,26 +169,23 @@ class LabeledGraph:
         wanted = (u,) if u == v else (min(u, v), max(u, v))
         return tuple(l for l in self.incident_links(u, dim) if l.ends == wanted)
 
-    def connected_components(self) -> list[tuple[str, ...]]:
-        """Components under all links, each as a sorted node tuple."""
-        seen: set[str] = set()
-        components = []
-        for start in sorted(self._adj):
-            if start in seen:
-                continue
-            stack = [start]
-            component = {start}
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for link in self._adj[u]:
+    def reach(self, starts: Iterable[str], dims: Collection[int] | None = None) -> tuple[str, ...]:
+        """Nodes reachable from ``starts`` over links with dims in ``dims`` (all
+        if ``None``), in BFS order: the starts first, in order and deduplicated,
+        then at each node its links in canonical order, each one's ends sorted."""
+        order = list(dict.fromkeys(starts))
+        for u in order:
+            if u not in self._adj:
+                raise UnknownNodeError(f"unknown node {u!r}")
+        seen = set(order)
+        for u in order:  # the list grows while read: it is the BFS queue
+            for link in self._adj[u]:
+                if dims is None or link.dim in dims:
                     for v in link.ends:
                         if v not in seen:
                             seen.add(v)
-                            component.add(v)
-                            stack.append(v)
-            components.append(tuple(sorted(component)))
-        return components
+                            order.append(v)
+        return tuple(order)
 
     def link_signature(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
         """Sorted multiset of (dim, ends) — the semantic link content."""

@@ -19,7 +19,6 @@ other host is validated in full.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -73,17 +72,14 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
             raise MatchError(f"seed key {x!r} is not a pattern node")
         if a not in gmap.graph:
             raise UnknownNodeError(f"seed value {a!r} is not a dart of the host")
-    seeded = set(seed)
-    for component in pattern.connected_components():
-        if not seeded.intersection(component):
-            raise MatchError(
-                f"no seed for the pattern component containing {component[0]!r}"
-            )
-
     mapping = dict(sorted(seed.items()))
-    queue = deque(mapping)
-    while queue:
-        x = queue.popleft()
+    order = pattern.reach(mapping)
+    if len(order) < len(pattern):
+        missed = min(set(pattern.nodes).difference(order))
+        raise MatchError(f"no seed for the pattern component containing {missed!r}")
+
+    # reach finds each non-seed x through an earlier node's link, which maps it
+    for x in order:
         a = mapping[x]
         for link in pattern.incident_links(x):
             b = _forced(gmap, a, link.dim)
@@ -107,7 +103,6 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
                     )
             else:
                 mapping[y] = b
-                queue.append(y)
     if len(set(mapping.values())) != len(mapping):
         raise MatchError("completed match is not injective")
     return Match(mapping)

@@ -131,7 +131,7 @@ def _check_orbit_graph(o: OrbitType, orbit_graph: LabeledGraph) -> None:
             raise SchemeError(
                 f"orbit graph has a {link.dim}-link outside the parameter {o!r}"
             )
-    if len(orbit_graph.connected_components()) > 1:
+    if len(orbit_graph.reach(orbit_graph.nodes[:1])) < len(orbit_graph):
         raise SchemeError("orbit graph must be connected")
 
 
@@ -144,6 +144,10 @@ def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> Labele
     by arc in sorted dart order; link ids follow that order.
     """
     _check_orbit_graph(scheme.parameter, orbit_graph)
+    return _instance(scheme, orbit_graph)
+
+
+def _instance(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
     darts = orbit_graph.nodes
     links = []
     for name, decoration in scheme.nodes:
@@ -165,7 +169,7 @@ class InstantiatedRule:
 
     Node names carry their provenance (``origDart@schemeNode``); the
     preserved set is the expansion of the scheme nodes present on both
-    sides, and the hook instances are the natural seeds for matching.
+    sides.
     """
 
     rule: RuleScheme
@@ -174,7 +178,6 @@ class InstantiatedRule:
     left: LabeledGraph
     right: LabeledGraph
     preserved: frozenset[str]
-    hook_instances: tuple[str, ...]
 
     @property
     def left_only(self) -> tuple[str, ...]:
@@ -193,13 +196,13 @@ def instantiate_rule(rule: RuleScheme, gmap: "Gmap", dart: str) -> InstantiatedR
     """Unfold both sides of ``rule`` with the parameter orbit of ``dart``."""
     if dart not in gmap.graph:
         raise UnknownNodeError(f"unknown dart {dart!r}")
+    # the orbit holds only parameter dims and is connected by construction
     orbit_graph = gmap.orbit(rule.parameter, dart)
-    left = instantiate_scheme(rule.left, orbit_graph)
-    right = instantiate_scheme(rule.right, orbit_graph)
+    left = _instance(rule.left, orbit_graph)
+    right = _instance(rule.right, orbit_graph)
     preserved = frozenset(
         instance_name(u, node)
         for node in rule.preserved_nodes
         for u in orbit_graph.nodes
     )
-    hooks = tuple(instance_name(u, rule.hook) for u in sorted(orbit_graph.nodes))
-    return InstantiatedRule(rule, dart, orbit_graph, left, right, preserved, hooks)
+    return InstantiatedRule(rule, dart, orbit_graph, left, right, preserved)

@@ -257,9 +257,11 @@ def parse_gmap(text: str) -> Gmap:
             tz.expect("{")
             values = {}
             while tz.peek().kind == "IDENT":
-                dart = tz.next().text
+                dart = tz.next()
+                if dart.text in values:
+                    tz.error(f"dart {dart.text!r} has two values in layer {name!r}", dart)
                 tz.expect(":")
-                values[dart] = _parse_value(tz, vt_tok.text)
+                values[dart.text] = _parse_value(tz, vt_tok.text)
             tz.expect("}")
             tz.expect("}")
             layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), vt_tok.text, values))

@@ -3,18 +3,25 @@
 Everything here trades speed for obviousness: validation enumerates raw
 link 4-tuples, orbits are a reachability fixpoint, instantiation is the
 set definition of a scheme's instance, and matching is an exhaustive
-backtracking search.  The test suite checks that the kernel
-agrees with these on generated instances; none of this is reachable
-from the CLI.  Instances are capped at desk scale (tens of darts).
+backtracking search, next to a queue-based reference completion.  The
+test suite checks that the kernel agrees with these on generated
+instances; none of this is reachable from the CLI.  Instances are
+capped at desk scale (tens of darts).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from gmapkit.errors import DimensionError, MatchError
+from gmapkit.errors import (
+    ConstraintViolationError,
+    DimensionError,
+    MatchError,
+    UnknownNodeError,
+)
 from gmapkit.gmap import (
     CycleViolation,
     EmbeddingViolation,
@@ -25,7 +32,7 @@ from gmapkit.gmap import (
 )
 from gmapkit.graph import LabeledGraph
 from gmapkit.orbits import REMOVE, OrbitType, RelabelingFunction
-from gmapkit.rewrite import complete_match
+from gmapkit.rewrite import Match, complete_match
 from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name
 
 
@@ -95,18 +102,25 @@ def oracle_validate(g: Gmap) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def oracle_orbit(g: Gmap, o: OrbitType, dart: str) -> frozenset[str]:
-    """Reachability fixpoint over links whose dimension lies in ``o``."""
-    dims = set(o)
-    members = {dart}
+def oracle_reach(graph: LabeledGraph, starts, dims=None) -> frozenset[str]:
+    """Reachability fixpoint from ``starts`` over links whose dimension
+    lies in ``dims`` (every link when ``None``)."""
+    members = set(starts)
     changed = True
     while changed:
         changed = False
-        for link in g.graph.links:
-            if link.dim in dims and set(link.ends) & members and not set(link.ends) <= members:
+        for link in graph.links:
+            if dims is not None and link.dim not in dims:
+                continue
+            if set(link.ends) & members and not set(link.ends) <= members:
                 members |= set(link.ends)
                 changed = True
     return frozenset(members)
+
+
+def oracle_orbit(g: Gmap, o: OrbitType, dart: str) -> frozenset[str]:
+    """Reachability fixpoint over links whose dimension lies in ``o``."""
+    return oracle_reach(g.graph, [dart], set(o))
 
 
 def oracle_instantiate(
@@ -215,6 +229,87 @@ def oracle_match(
 
     search()
     return results
+
+
+# ---------------------------------------------------------------------------
+# reference match completion: a BFS queue with its own component search,
+# which pins the key order, the checks and the first error of extend_match
+
+
+def pattern_components(pattern: LabeledGraph) -> list[tuple[str, ...]]:
+    """Components under all links, each as a sorted node tuple."""
+    seen: set[str] = set()
+    components = []
+    for start in sorted(pattern.nodes):
+        if start in seen:
+            continue
+        stack = [start]
+        component = {start}
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            for link in pattern.incident_links(u):
+                for v in link.ends:
+                    if v not in seen:
+                        seen.add(v)
+                        component.add(v)
+                        stack.append(v)
+        components.append(tuple(sorted(component)))
+    return components
+
+
+def _forced(gmap: Gmap, dart: str, dim: int) -> str:
+    try:
+        return gmap.alpha(dart, dim)
+    except ConstraintViolationError as exc:
+        raise MatchError(f"host is not well-formed at dart {dart!r}, dim {dim}: {exc}") from exc
+
+
+def reference_extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> Match:
+    """``extend_match`` as a seed-checked BFS queue over the pattern."""
+    for x, a in seed.items():
+        if x not in pattern:
+            raise MatchError(f"seed key {x!r} is not a pattern node")
+        if a not in gmap.graph:
+            raise UnknownNodeError(f"seed value {a!r} is not a dart of the host")
+    seeded = set(seed)
+    for component in pattern_components(pattern):
+        if not seeded.intersection(component):
+            raise MatchError(
+                f"no seed for the pattern component containing {component[0]!r}"
+            )
+
+    mapping = dict(sorted(seed.items()))
+    queue = deque(mapping)
+    while queue:
+        x = queue.popleft()
+        a = mapping[x]
+        for link in pattern.incident_links(x):
+            b = _forced(gmap, a, link.dim)
+            if link.is_loop:
+                if b != a:
+                    raise MatchError(
+                        f"pattern has a {link.dim}-loop at {x!r} but host dart "
+                        f"{a!r} is {link.dim}-linked to {b!r}"
+                    )
+                continue
+            y = link.other_end(x)
+            if b == a:
+                raise MatchError(
+                    f"pattern link {x!r}-{link.dim}-{y!r} cannot map onto the "
+                    f"{link.dim}-loop at host dart {a!r}"
+                )
+            if y in mapping:
+                if mapping[y] != b:
+                    raise MatchError(
+                        f"conflicting images for {y!r}: {mapping[y]!r} vs {b!r}"
+                    )
+            else:
+                mapping[y] = b
+                queue.append(y)
+    if len(set(mapping.values())) != len(mapping):
+        raise MatchError("completed match is not injective")
+    return Match(mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gmapkit import (
     apply_rule,
     export_obj,
     import_off,
+    instance_name,
     instantiate_rule,
     instantiate_scheme,
     parse_directive,
@@ -190,7 +191,8 @@ def test_criterion_6_oracle_equivalence(random_maps, vi_rule, vi2_rule, identity
         rule = rng.choice(rules)
         anchor = rng.choice(darts)
         inst = instantiate_rule(rule, host, anchor)
-        seed = inst.seed() if rng.random() < 0.5 else {inst.hook_instances[0]: rng.choice(darts)}
+        hook = instance_name(min(inst.orbit_graph.nodes), inst.rule.hook)
+        seed = inst.seed() if rng.random() < 0.5 else {hook: rng.choice(darts)}
         rep = check_match_agreement(inst, host, seed, f"triple{done}")
         if not rep.passed:
             failures.append(rep.witness)

@@ -213,6 +213,18 @@ def test_syntax_error_exits_2(workdir, capsys):
     assert "E_SYNTAX" in capsys.readouterr().err
 
 
+def test_dart_with_two_values_in_a_layer_exits_2(workdir, capsys):
+    (workdir / "twice.gmap").write_text(
+        "dimension 0\ndarts { a }\nlinks { 0: a }\nembeddings {\n  p {\n"
+        "    orbit: 0\n    type: scalar\n    values {\n      a: 1\n      a: 2\n"
+        "    }\n  }\n}\n"
+    )
+    assert main(["validate", "twice.gmap"]) == 2
+    assert capsys.readouterr().err == (
+        "E_SYNTAX dart 'a' has two values in layer 'p' (line 10, column 7)\n"
+    )
+
+
 def test_lone_carriage_return_reads_as_for_parse_gmap(workdir, capsys):
     text = "dimension 2\rdarts { $ }"
     (workdir / "cr.gmap").write_bytes(text.encode())

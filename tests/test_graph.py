@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmapkit import (
     ArityError,
@@ -16,6 +17,7 @@ from gmapkit.mesh import PolygonalMesh, unify
 
 from conftest import free_edge_graph, sewn_edge_graph
 from iso import iso_check
+from oracle import oracle_reach
 
 
 def test_add_node_to_empty_graph():
@@ -215,7 +217,38 @@ def test_link_ends_subset_of_nodes_invariant():
 
 def test_connected_components():
     g = LabeledGraph.build(2, ["a", "b", "c"], [(0, {"a", "b"})])
-    assert g.connected_components() == [("a", "b"), ("c",)]
+    assert g.reach(["a"]) == ("a", "b")
+    assert g.reach(["c"]) == ("c",)
+    assert g.reach(["b", "c", "b"]) == ("b", "c", "a")
+    assert g.reach(["a"], {1, 2}) == ("a",)
+    assert g.reach([]) == ()
+    with pytest.raises(UnknownNodeError):
+        g.reach(["a", "z"])
+
+
+@st.composite
+def multigraphs_with_starts(draw):
+    """Random multigraphs with loops, parallel links and isolated nodes,
+    a start list that may repeat nodes, and a dimension set or ``None``."""
+    nodes = draw(st.permutations(["q", "c", "n1", "a", "n10", "z", "b"]))[: draw(st.integers(1, 7))]
+    n = draw(st.integers(0, 3))
+    end = st.sampled_from(nodes)
+    links = draw(st.lists(st.tuples(st.integers(0, n), end, end), max_size=12))
+    g = LabeledGraph.build(n, nodes, [(dim, {u, v}) for dim, u, v in links])
+    starts = draw(st.lists(st.sampled_from(nodes), max_size=4))
+    dims = draw(st.none() | st.sets(st.integers(0, n)))
+    return g, starts, dims
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(multigraphs_with_starts())
+def test_reach_is_the_reachability_fixpoint(case):
+    g, starts, dims = case
+    order = g.reach(starts, dims)
+    assert set(order) == oracle_reach(g, starts, dims)
+    assert len(set(order)) == len(order)
+    unique = list(dict.fromkeys(starts))
+    assert list(order[: len(unique)]) == unique
 
 
 def _scanned(g, u, dim=None):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmapkit import (
     Gmap,
@@ -10,11 +11,19 @@ from gmapkit import (
     MatchError,
     complete_match,
     extend_match,
+    instance_name,
     instantiate_rule,
 )
 
 from conftest import vertex_insert_lhs_free
-from oracle import check_match_agreement, oracle_match, random_valid_gmap
+from oracle import (
+    check_match_agreement,
+    oracle_match,
+    oracle_reach,
+    pattern_components,
+    random_valid_gmap,
+    reference_extend_match,
+)
 
 
 def test_seed_extends_along_forced_links(two_triangles_gmap):
@@ -56,7 +65,7 @@ def test_pattern_edge_cannot_land_on_loop():
 def test_match_via_rule_seed(vi_rule, square_gmap):
     inst = instantiate_rule(vi_rule, square_gmap, "v1e1-2f0")
     m = complete_match(inst, square_gmap)
-    assert m[inst.hook_instances[0]] in square_gmap.darts
+    assert m[instance_name(min(inst.orbit_graph.nodes), inst.rule.hook)] in square_gmap.darts
     assert set(m.mapping) == set(inst.left.nodes)
     assert len(m.image) == len(m.mapping)
 
@@ -86,7 +95,8 @@ def test_match_agreement_on_random_triples(seed, vi_rule, vi2_rule, identity_rul
         if rng.random() < 0.5:
             seed_map = inst.seed()
         else:
-            seed_map = {inst.hook_instances[0]: rng.choice(darts)}
+            hook = instance_name(min(inst.orbit_graph.nodes), inst.rule.hook)
+            seed_map = {hook: rng.choice(darts)}
         report = check_match_agreement(inst, host, seed_map, f"seed{seed}.{case}")
         assert report.passed, report.witness
 
@@ -138,3 +148,82 @@ def test_match_uniqueness_against_enumeration(vi_rule, square_gmap):
         kernel = complete_match(inst, square_gmap)
         found = oracle_match(inst.left, square_gmap, inst.seed())
         assert found == [kernel.mapping]
+
+
+# names whose sorted order differs from their insertion order
+NAMES = ["m", "b", "x3", "a", "x10", "k", "c", "x2"]
+
+
+def random_match_triple(rng: random.Random):
+    """A near-involutive host, a pattern on 0-3 dims and a seed on 0-3
+    nodes.  Most patterns are a renamed orbit of the host, so that long
+    completions succeed, not only fail early."""
+    n = rng.choice([0, 1, 2, 2])
+    darts = [f"h{i}" for i in range(rng.randint(1, len(NAMES)))]
+    host_links = []
+    for dim in range(n + 1):
+        rest = rng.sample(darts, len(darts))
+        while rest:
+            u = rest.pop()
+            if rest and rng.random() < 0.75:
+                host_links.append((dim, {u, rest.pop()}))
+            else:
+                host_links.append((dim, {u}))
+    tweak = rng.choice(["none", "none", "drop", "double"])
+    i = rng.randrange(len(host_links))
+    if tweak == "drop":
+        del host_links[i]
+    elif tweak == "double":
+        host_links.append(host_links[i])
+    host = Gmap.build(n, darts, host_links)
+
+    dims = rng.sample(range(n + 1), rng.randint(0, n + 1))
+    if rng.random() < 0.75:
+        if rng.random() < 0.5:
+            dims = list(range(n + 1))
+        orbit = oracle_reach(host.graph, [rng.choice(darts)], dims)
+        name = dict(zip(sorted(orbit), rng.sample(NAMES, len(orbit))))
+        nodes = list(name.values())
+        links = [
+            (dim, {name[u] for u in ends})
+            for dim, ends in host_links
+            if dim in dims and ends <= orbit and rng.random() < 0.85
+        ]
+        image = {x: u for u, x in name.items()}
+    else:
+        nodes = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+        # loops, parallel links and several components all occur
+        links = [
+            (rng.choice(dims), {rng.choice(nodes), rng.choice(nodes)})
+            for _ in range(rng.randint(0, 8) if dims else 0)
+        ]
+        image = {}
+    pattern = LabeledGraph.build(n, nodes, links)
+
+    if rng.random() < 0.75:
+        # one key in each of the first three components: completions run
+        keys = [rng.choice(c) for c in pattern_components(pattern)[:3]]
+    else:
+        keys = rng.sample(nodes, rng.randint(0, min(3, len(nodes))))
+    seed = {
+        x: image[x] if x in image and rng.random() < 0.75 else rng.choice(darts)
+        for x in keys
+    }
+    return pattern, host, seed
+
+
+def _outcome(extend, pattern, host, seed):
+    try:
+        return list(extend(pattern, host, seed).mapping.items())
+    except Exception as exc:  # the class and message are the outcome
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_extend_match_agrees_with_the_reference_queue(seed_value):
+    # same mapping in the same key order, or the same error and message
+    pattern, host, seed = random_match_triple(random.Random(seed_value))
+    assert _outcome(extend_match, pattern, host, seed) == _outcome(
+        reference_extend_match, pattern, host, seed
+    )

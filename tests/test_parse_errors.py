@@ -77,6 +77,10 @@ GMAP_CASES = {
         layer("point3d", "      a: inf 0 0\n"),
         "expected a number, found 'inf' (line 13, column 10)",
     ),
+    "dart_with_two_values": (
+        layer("scalar", "      a: 1\n      a: 2\n"),
+        "dart 'a' has two values in layer 'L' (line 14, column 7)",
+    ),
 }
 
 RULE_CASES = {
