@@ -15,16 +15,19 @@ connectivity and match completion.  Its BFS order is a contract: the
 starts first, in order and deduplicated, then at each node its links in
 canonical order, each link's ends in sorted order.
 
-Callers build a graph in one step with :meth:`LabeledGraph.build`.
-Only the library itself uses the underscore-prefixed in-place mutators:
-its constructors, and rule application on a :meth:`~LabeledGraph.copy`
-of the host graph.
+Callers build a graph in one step with :meth:`LabeledGraph.build`, which
+appends every link to its ends' lists and sorts each list once at the
+end.  Only the library itself uses the underscore-prefixed in-place
+mutators: rule application on a :meth:`~LabeledGraph.copy` of the host
+graph, and the token parser that reports a ``.gmap`` document's first
+error.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Collection, Iterable
 
 from .errors import (
@@ -59,6 +62,10 @@ class Link:
         raise UnknownNodeError(f"node {node!r} is not an end of link {self.id}")
 
 
+#: sort key of the canonical link order, the order of :class:`Link`
+_CANONICAL = attrgetter("dim", "ends", "id")
+
+
 class LabeledGraph:
     """Multigraph with loops, node names, and arc dimensions in ``0..n``."""
 
@@ -79,12 +86,24 @@ class LabeledGraph:
         nodes: Iterable[str] = (),
         links: Iterable[tuple[int, Iterable[str]]] = (),
     ) -> "LabeledGraph":
-        """Build a graph in one go from ``nodes`` and ``(dim, ends)`` pairs."""
+        """Build a graph in one go from ``nodes`` and ``(dim, ends)`` pairs.
+
+        The result, link ids and per-node lists included, and the first
+        error raised are those of adding the nodes and then the links one
+        by one with :meth:`_add_node` and :meth:`_add_link`."""
         g = cls(ambient_dimension)
         for name in nodes:
             g._add_node(name)
+        adj, made = g._adj, g._links
         for dim, ends in links:
-            g._add_link(ends, dim)
+            link = Link(dim, g._checked_ends(ends, dim), f"L{len(made)}")
+            made[link.id] = link
+            for u in link.ends:
+                adj[u].append(link)
+        g._next_link = len(made)
+        for incident in adj.values():
+            if len(incident) > 1:
+                incident.sort(key=_CANONICAL)
         return g
 
     def copy(self) -> "LabeledGraph":
@@ -103,9 +122,14 @@ class LabeledGraph:
             raise DuplicateNodeError(f"node {name!r} already present")
         self._adj[name] = []
 
-    def _add_link(self, ends: Iterable[str], dim: int) -> str:
+    def _checked_ends(self, ends: Iterable[str], dim: int) -> tuple[str, ...]:
+        """The sorted distinct ends of a new link, after its checks."""
         ends = tuple(ends)
-        unique = tuple(sorted(set(ends)))
+        if len(ends) == 2:
+            a, b = ends
+            unique = (a,) if a == b else (a, b) if a < b else (b, a)
+        else:
+            unique = tuple(sorted(set(ends)))
         if len(unique) not in (1, 2):
             raise ArityError(f"link must have 1 or 2 ends, got {len(unique)}")
         # in the order given, so the unknown end reported is deterministic
@@ -116,7 +140,10 @@ class LabeledGraph:
             raise DimensionError(
                 f"dimension {dim} out of range 0..{self.ambient_dimension}"
             )
-        link = Link(dim, unique, f"L{self._next_link}")
+        return unique
+
+    def _add_link(self, ends: Iterable[str], dim: int) -> str:
+        link = Link(dim, self._checked_ends(ends, dim), f"L{self._next_link}")
         self._next_link += 1
         self._links[link.id] = link
         for u in link.ends:

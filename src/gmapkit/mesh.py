@@ -79,7 +79,8 @@ def unify(mesh: PolygonalMesh) -> Gmap:
     the edge, degenerating to loops on boundary edges.  Vertex
     positions are copied into a ``pos`` layer on the vertex orbit type.
     """
-    graph = LabeledGraph(2)
+    darts: list[str] = []
+    links: list[tuple[int, tuple[str, ...]]] = []
     pos_values: dict[str, Point3] = {}
     # (edge, endpoint vertex) -> dart names across faces, for 2-links
     edge_sides: dict[tuple[tuple[int, int], int], list[str]] = {}
@@ -92,26 +93,23 @@ def unify(mesh: PolygonalMesh) -> Gmap:
             e = face_edges[p]
             for v in (a, b):
                 name = dart_name(v, e, m)
-                graph._add_node(name)
+                darts.append(name)
                 pos_values[name] = mesh.vertices[v]
                 edge_sides.setdefault((e, v), []).append(name)
         for p in range(k):
             a, b = face[p], face[(p + 1) % k]
             e = face_edges[p]
-            graph._add_link({dart_name(a, e, m), dart_name(b, e, m)}, 0)
+            links.append((0, (dart_name(a, e, m), dart_name(b, e, m))))
         for p in range(k):
             v = face[p]
             prev_e = face_edges[(p - 1) % k]
             next_e = face_edges[p]
-            graph._add_link({dart_name(v, prev_e, m), dart_name(v, next_e, m)}, 1)
+            links.append((1, (dart_name(v, prev_e, m), dart_name(v, next_e, m))))
 
     for (e, v), names in sorted(edge_sides.items()):
-        if len(names) == 1:
-            graph._add_link({names[0]}, 2)
-        elif len(names) == 2:
-            graph._add_link(set(names), 2)
-        else:  # unreachable: mesh invariants cap edge use at two faces
+        if len(names) > 2:  # unreachable: mesh invariants cap edge use at two faces
             raise NonManifoldEdgeError(f"edge {e} borders {len(names)} faces")
+        links.append((2, tuple(names)))  # one name: a 2-loop on a boundary edge
 
     pos = EmbeddingLayer("pos", OrbitType((1, 2)), "point3d", pos_values)
-    return Gmap(graph, (pos,))
+    return Gmap(LabeledGraph.build(2, darts, links), (pos,))

@@ -5,12 +5,20 @@ Both text formats are whitespace-insensitive with ``#`` line comments
 and round-trip byte-identically through their canonical serialization:
 darts lexicographic, links by (dim, ends), embeddings by name, scheme
 nodes by name.  All output uses LF line endings.
+
+A ``.gmap`` document is read record by record (the header, a dart name,
+a link, a layer header, one dart's value) with patterns built from the
+tokenizer's own, and the map is built in one step.  Any record the scan
+cannot read, or a map that cannot be built, hands the whole document to
+the tokenizer, which reports the error and its position.  ``.jrule``
+schemes are read token by token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 from .errors import (
@@ -28,11 +36,14 @@ from .scheme import GraphScheme, RuleScheme, SchemeArc
 
 _GMAP_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_@#-]*")
 _RULE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_SKIP = r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
+_NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_COMMENT = r"#[^\n]*"
+_SKIP = rf"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>{_COMMENT})"
 # re.S lets an escape in a string take a newline
 _GMAP_TOKENS = re.compile(
-    rf'{_SKIP}|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<OPEN>")|(?P<IDENT>{_GMAP_IDENT.pattern})'
-    r"|(?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<SYMBOL>[{}:])|(?P<BAD>.)",
+    rf'{_SKIP}|(?P<STRING>{_STRING})|(?P<OPEN>")|(?P<IDENT>{_GMAP_IDENT.pattern})'
+    rf"|(?P<NUMBER>{_NUMBER})|(?P<SYMBOL>[{{}}:])|(?P<BAD>.)",
     re.S,
 )
 _RULE_TOKENS = re.compile(
@@ -40,6 +51,11 @@ _RULE_TOKENS = re.compile(
 )
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _unquote(string: str) -> str:
+    """The text of a quoted ``.gmap`` string token."""
+    return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), string[1:-1])
 
 
 # slots, not a NamedTuple: a 3.6k-dart map has ~43k tokens, and the
@@ -81,8 +97,7 @@ class _Tokenizer:
             if kind == "BAD":
                 raise ParseError(f"unexpected character {s!r}", line, col)
             if kind == "STRING":
-                unescaped = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), s[1:-1])
-                self._tokens.append(_Token(kind, unescaped, line, col))
+                self._tokens.append(_Token(kind, _unquote(s), line, col))
             elif kind != "WS":
                 self._tokens.append(_Token(s if kind == "SYMBOL" else kind, s, line, col))
             col += len(s)
@@ -202,9 +217,112 @@ def _parse_value(tz: _Tokenizer, value_type: str) -> Any:
     return tuple(out)
 
 
+# Record patterns of a .gmap document, built from the tokenizer's own
+# sub-patterns.  Each token ends where the tokenizer's would: the
+# lookaheads forbid a character that would extend it, so a record
+# matches the tokens _GMAP_TOKENS makes of the same text or does not
+# match at all.  A comment must run to the end of its line, so blanks
+# and comments split in one way only and a failed match backtracks
+# through them in time linear in their length.
+_B = rf"[ \t\r\n]*(?:{_COMMENT}(?![^\n])[ \t\r\n]*)*"
+_WORD_END = r"(?![A-Za-z0-9_@#-])"
+_NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
+_ID = rf"({_GMAP_IDENT.pattern}){_WORD_END}"
+_NAT = rf"(\d+){_NUMBER_END}"
+_NUM = rf"({_NUMBER}){_NUMBER_END}"
+_INT = rf"(-?\d+){_NUMBER_END}"
+
+
+@cache
+def _record(*parts: str) -> re.Pattern:
+    """Tokens in sequence, blanks before each; a keyword is a bare word.
+    Compiled at first use, so a process that reads no .gmap document
+    does not pay for it."""
+    tokens = (rf"{p}{_WORD_END}" if p.isalpha() else p for p in parts)
+    return re.compile("".join(_B + t for t in tokens), re.S)
+
+
+#: value type -> (the tokens of one value, the value from their groups)
+_VALUE_TOKENS = {
+    "string": ((f"({_STRING})",), lambda v: _unquote(v[0])),
+    "scalar": ((_NUM,), lambda v: float(v[0])),
+    "point2d": ((_NUM, _NUM), lambda v: tuple(map(float, v))),
+    "point3d": ((_NUM, _NUM, _NUM), lambda v: tuple(map(float, v))),
+    "color_rgb": ((_INT, _INT, _INT), lambda v: tuple(map(int, v))),
+}
+
+
+def _scan_gmap(text: str) -> Gmap | None:
+    """The map of a .gmap document read record by record, or ``None`` at
+    the first record that does not match or a dart's second value."""
+    if not (m := _record("dimension", _NAT, "darts", r"\{").match(text)):
+        return None
+    n, pos = int(m[1]), m.end()
+    darts, dart = [], _record(_ID).match
+    while m := dart(text, pos):
+        darts.append(m[1])
+        pos = m.end()
+    if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
+        return None
+    pos = m.end()
+    links, link = [], _record(_NAT, ":", _ID, f"(?:{_ID})?").match
+    while m := link(text, pos):
+        dim, a, b = m.groups()
+        links.append((int(dim), (a,) if b is None else (a, b)))
+        pos = m.end()
+    if not (m := _record(r"\}").match(text, pos)):
+        return None
+    pos = m.end()
+    layers = []
+    if m := _record("embeddings", r"\{").match(text, pos):
+        pos = m.end()
+        while m := _record(_ID, r"\{", "orbit", ":").match(text, pos):
+            name, pos = m[1], m.end()
+            dims = []
+            while m := _record(_NAT).match(text, pos):
+                dims.append(int(m[1]))
+                pos = m.end()
+            m = _record("type", ":", _ID, "values", r"\{").match(text, pos)
+            if not m or m[1] not in _VALUE_TOKENS:
+                return None
+            value_type, pos = m[1], m.end()
+            tokens, value = _VALUE_TOKENS[value_type]
+            values, record = {}, _record(_ID, ":", *tokens).match
+            while m := record(text, pos):
+                dart_name, *parts = m.groups()
+                if dart_name in values:
+                    return None
+                values[dart_name] = value(parts)
+                pos = m.end()
+            if not (m := _record(r"\}", r"\}").match(text, pos)):
+                return None
+            pos = m.end()
+            layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
+        if not (m := _record(r"\}").match(text, pos)):
+            return None
+        pos = m.end()
+    if not _record(r"\Z").match(text, pos):
+        return None
+    return Gmap(LabeledGraph.build(n, darts, links), layers)
+
+
 def parse_gmap(text: str) -> Gmap:
     """Parse a .gmap document; structural invariants are enforced, the
-    topological constraints are not (run ``validate`` separately)."""
+    topological constraints are not (run ``validate`` separately).
+
+    The document is read record by record.  If a record does not match,
+    or the map it describes cannot be built, the whole text is parsed
+    again token by token, which raises its first error with the position.
+    """
+    try:
+        g = _scan_gmap(text)
+    except (GmapError, ValueError):  # ValueError: int() of over 4300 digits
+        g = None
+    return _parse_gmap_tokens(text) if g is None else g
+
+
+def _parse_gmap_tokens(text: str) -> Gmap:
+    """Token by token: the parse that reports a document's first error."""
     tz = _Tokenizer(text, _GMAP_TOKENS)
     tz.expect_keyword("dimension")
     n = tz.expect_nat()

@@ -10,6 +10,7 @@ from gmapkit import (
     ArityError,
     DimensionError,
     DuplicateNodeError,
+    GmapError,
     LabeledGraph,
     UnknownNodeError,
 )
@@ -249,6 +250,44 @@ def test_reach_is_the_reachability_fixpoint(case):
     assert len(set(order)) == len(order)
     unique = list(dict.fromkeys(starts))
     assert list(order[: len(unique)]) == unique
+
+
+def _one_by_one(n, nodes, links):
+    """The graph of adding ``nodes`` and then ``links`` one at a time, or the error."""
+    g = LabeledGraph(n)
+    try:
+        for name in nodes:
+            g._add_node(name)
+        for dim, ends in links:
+            g._add_link(ends, dim)
+    except GmapError as exc:
+        return type(exc), str(exc)
+    return list(g._adj.items()), list(g._links.items())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_build_equals_one_by_one_insertion(data):
+    # "n10" < "n1x" < "n9": names, like link ids past L9, whose string order is not numeric
+    nodes = data.draw(st.lists(st.sampled_from(["a", "b", "n1x", "n9", "n10", "z"]), min_size=1, unique=True))
+    n = data.draw(st.integers(0, 2))
+    # loops, parallel links, ends in any order, as tuples or sets
+    ends = st.lists(st.sampled_from(nodes), min_size=1, max_size=2)
+    links = data.draw(st.lists(st.tuples(st.integers(0, n), ends.map(tuple) | ends.map(set)), max_size=25))
+    # now and then one fault: a bad link anywhere, or a repeated node
+    u = nodes[0]
+    bad = [(n + 1, (u,)), (-1, (u,)), (0, (u, "q")), (0, ("q", u)), (0, ()), (0, {"a", "b", "c"})]
+    at = data.draw(st.integers(0, len(links)))
+    links[at:at] = data.draw(st.sampled_from([[]] * len(bad) + [[link] for link in bad]))
+    if data.draw(st.integers(0, 9)) == 0:
+        nodes.append(u)
+    try:
+        built = LabeledGraph.build(n, nodes, links)
+    except GmapError as exc:
+        outcome = type(exc), str(exc)
+    else:
+        outcome = list(built._adj.items()), list(built._links.items())
+    assert outcome == _one_by_one(n, nodes, links)
 
 
 def _scanned(g, u, dim=None):
