@@ -251,7 +251,10 @@ class Gmap:
         return self.graph.nodes
 
     def copy(self) -> "Gmap":
-        """An equal map sharing no mutable state, not marked known-valid."""
+        """An equal map, not marked known-valid.  Its graph shares per-dart
+        link lists with this one's, each copied on its first write (see
+        :meth:`LabeledGraph.copy`), so an edit of either map never shows
+        in the other."""
         g = Gmap(self.graph.copy())
         g.embeddings = {name: layer.copy() for name, layer in self.embeddings.items()}
         return g

@@ -21,6 +21,12 @@ end.  Only the library itself uses the underscore-prefixed in-place
 mutators: rule application on a :meth:`~LabeledGraph.copy` of the host
 graph, and the token parser that reports a ``.gmap`` document's first
 error.
+
+A copy shares every per-node list with its original, so copying costs
+two dict copies, not one list per node.  A graph copies a node's list
+the first time it writes to it after a copy; until then neither side
+owns it.  A rewrite therefore copies only the lists of the darts it
+touches, and no edit of either graph shows in the other.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ class LabeledGraph:
         self._adj: dict[str, list[Link]] = {}
         self._links: dict[str, Link] = {}
         self._next_link = 0
+        # nodes whose list this graph may write in place; None: all of them
+        self._owned: set[str] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -107,10 +115,17 @@ class LabeledGraph:
         return g
 
     def copy(self) -> "LabeledGraph":
+        """An equal graph sharing the per-node lists with this one.  Both
+        give up ownership of them: each copies a list before its first
+        write, so no edit of one is seen by the other."""
         g = LabeledGraph(self.ambient_dimension)
-        g._adj = {u: list(links) for u, links in self._adj.items()}
-        g._links = dict(self._links)
+        # dict.copy() clones the table, holes left by removals included;
+        # dict() re-inserts each entry of a table with holes, 5x slower
+        # on the 48.6k links of a rewritten 32.4k-dart map
+        g._adj = self._adj.copy()
+        g._links = self._links.copy()
         g._next_link = self._next_link
+        self._owned, g._owned = set(), set()
         return g
 
     # -- in-place mutators (library-internal) ----------------------------
@@ -121,6 +136,14 @@ class LabeledGraph:
         if name in self._adj:
             raise DuplicateNodeError(f"node {name!r} already present")
         self._adj[name] = []
+
+    def _own(self, u: str) -> list[Link]:
+        """``u``'s list, copied first if another graph may share it."""
+        links = self._adj[u]
+        if self._owned is not None and u not in self._owned:
+            links = self._adj[u] = links.copy()
+            self._owned.add(u)
+        return links
 
     def _checked_ends(self, ends: Iterable[str], dim: int) -> tuple[str, ...]:
         """The sorted distinct ends of a new link, after its checks."""
@@ -147,7 +170,7 @@ class LabeledGraph:
         self._next_link += 1
         self._links[link.id] = link
         for u in link.ends:
-            insort(self._adj[u], link)
+            insort(self._own(u), link)
         return link.id
 
     def _remove_link(self, link_id: str) -> None:
@@ -155,7 +178,7 @@ class LabeledGraph:
         if link is None:
             raise UnknownLinkError(f"unknown link id {link_id!r}")
         for u in link.ends:
-            self._adj[u].remove(link)
+            self._own(u).remove(link)
 
     def _remove_node(self, name: str) -> None:
         """Remove a node together with every link incident to it."""

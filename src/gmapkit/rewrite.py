@@ -6,14 +6,17 @@ every host dart has a unique i-link per dimension, one seed pair per
 connected component of the left side determines the whole match; the
 completion is a joint traversal of the pattern and the host.
 
-Application deletes the images of left-only darts and of every left
-link, adds the right side (routing preserved names through the match),
-fills embedding values of created darts from directives, and then
-validates: instantiation alone does not guarantee the result is a
-generalized map, so the check is mandatory.  Its result is marked
-known-valid, and on such a host the check covers only the darts near
-the rewrite (``Gmap._validate_rewritten``), with the same report; any
-other host is validated in full.
+Application edits a copy of the host and never changes the host.  The
+copy's graph shares each dart's link list with the host until it first
+writes to it (:meth:`LabeledGraph.copy`), so only the lists of the darts
+a rewrite touches are copied.  It deletes the images of left-only darts
+and of every left link, adds the right side (routing preserved names
+through the match), fills embedding values of created darts from
+directives, and then validates: instantiation alone does not guarantee
+the result is a generalized map, so the check is mandatory.  Its result
+is marked known-valid, and on such a host the check covers only the
+darts near the rewrite (``Gmap._validate_rewritten``), with the same
+report; any other host is validated in full.
 """
 
 from __future__ import annotations

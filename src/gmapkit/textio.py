@@ -53,6 +53,16 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
+def _integer(text: str, line: int, column: int) -> int:
+    """``int(text)``; a syntax error at ``line``, ``column`` when ``text``
+    has more digits than the interpreter converts (4,300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"number of {digits} digits is too long", line, column) from None
+
+
 def _unquote(string: str) -> str:
     """The text of a quoted ``.gmap`` string token."""
     return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), string[1:-1])
@@ -138,7 +148,7 @@ class _Tokenizer:
         if tok.kind != "NUMBER" or not tok.text.isdigit():
             self.error(f"expected a natural number, found {tok.text!r}")
         self.next()
-        return int(tok.text)
+        return _integer(tok.text, tok.line, tok.column)
 
     def expect_number(self) -> tuple[str, float]:
         tok = self.peek()
@@ -207,11 +217,12 @@ def _parse_value(tz: _Tokenizer, value_type: str) -> Any:
     arity = {"point2d": 2, "point3d": 3, "color_rgb": 3}[value_type]
     out = []
     for _ in range(arity):
+        tok = tz.peek()
         text, num = tz.expect_number()
         if value_type == "color_rgb":
             if not text.lstrip("-").isdigit():
                 tz.error(f"color components must be integers, found {text!r}")
-            out.append(int(text))
+            out.append(_integer(text, tok.line, tok.column))
         else:
             out.append(num)
     return tuple(out)
@@ -513,7 +524,7 @@ def import_off(text: str):
     lineno, counts = rows[1]
     if len(counts) != 3 or not all(c.isdigit() for c in counts):
         raise ParseError("counts line must be three naturals", lineno, 1)
-    n_vertices, n_faces, _ = (int(c) for c in counts)
+    n_vertices, n_faces, _ = (_integer(c, lineno, 1) for c in counts)
     body_rows = rows[2:]
     if len(body_rows) != n_vertices + n_faces:
         raise ParseError(
@@ -533,7 +544,7 @@ def import_off(text: str):
     for lineno, fields in body_rows[n_vertices:]:
         if not all(f.lstrip("-").isdigit() for f in fields):
             raise ParseError("face line must contain integers", lineno, 1)
-        nums = [int(f) for f in fields]
+        nums = [_integer(f, lineno, 1) for f in fields]
         if not nums or len(nums) != nums[0] + 1:
             raise ParseError("face line must start with its vertex count", lineno, 1)
         faces.append(tuple(nums[1:]))

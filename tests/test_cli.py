@@ -225,6 +225,20 @@ def test_dart_with_two_values_in_a_layer_exits_2(workdir, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "name, command, text, line",
+    [
+        ("huge.gmap", "validate", "dimension " + "7" * 5000 + "\n", "line 1, column 11"),
+        ("huge.off", "unify", "OFF\n" + "7" * 5000 + " 0 0\n", "line 2, column 1"),
+    ],
+)
+def test_number_past_the_int_digit_limit_exits_2(workdir, capsys, name, command, text, line):
+    (workdir / name).write_text(text)
+    argv = [command, name] + (["-o", "out.gmap"] if command == "unify" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"E_SYNTAX number of 5000 digits is too long ({line})\n"
+
+
 def test_lone_carriage_return_reads_as_for_parse_gmap(workdir, capsys):
     text = "dimension 2\rdarts { $ }"
     (workdir / "cr.gmap").write_bytes(text.encode())

@@ -331,3 +331,42 @@ def test_incident_links_agree_with_a_scan_under_random_edits():
                 pair = [l for l in _scanned(h, u) if set(l.ends) == {u, v}]
                 assert list(h.links_between(u, v)) == pair
         assert (g.nodes, g.links, _adjacency(g)) == before
+
+
+def _seen(g):
+    """Everything a graph shows: its nodes, its links and each node's list."""
+    return g.nodes, g.links, {u: g.incident_links(u) for u in g.nodes}
+
+
+def test_a_copy_and_its_original_never_see_each_others_edits():
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(0, 3)
+        nodes = [f"v{k}" for k in range(rng.randint(1, 5))]
+        links = [
+            (rng.randint(0, n), {rng.choice(nodes), rng.choice(nodes)})
+            for _ in range(rng.randint(0, 14))
+        ]
+        g = LabeledGraph.build(n, nodes, links)
+        h = g.copy()
+        generations = [g, h, h.copy()]
+        seen = [_seen(x) for x in generations]
+        for step in range(rng.randint(1, 30)):
+            i = rng.randrange(3)  # the original too, not only the copies
+            x = generations[i]
+            op = rng.random()
+            if op < 0.4 and x.nodes:
+                x._add_link({rng.choice(x.nodes), rng.choice(x.nodes)}, rng.randint(0, n))
+            elif op < 0.7 and x.links:
+                x._remove_link(rng.choice(x.links).id)
+            elif op < 0.85 and x.nodes:
+                x._remove_node(rng.choice(x.nodes))
+            else:
+                x._add_node(f"w{step}")
+            for j, y in enumerate(generations):
+                if j != i:
+                    assert _seen(y) == seen[j]
+            seen[i] = _seen(x)
+        for x in generations:
+            for u in x.nodes:
+                assert list(x.incident_links(u)) == _scanned(x, u)

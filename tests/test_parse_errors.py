@@ -5,13 +5,16 @@ The corpus covers both scanners and their quirks: a backslash-newline
 inside a string does not advance the line, and a comment does not
 advance the column, so ``EOF`` after a trailing comment with no newline
 reports the column where the comment starts.  ``-`` is part of a number
-in ``.gmap`` and a symbol in ``.jrule``.
+in ``.gmap`` and a symbol in ``.jrule``.  An integer with more digits
+than the interpreter's ``int()`` converts is an error at its first
+character, in every format, OFF included.
 """
 
 import pytest
 
-from gmapkit import ParseError, parse_gmap, parse_rule_scheme
+from gmapkit import ParseError, import_off, parse_gmap, parse_rule_scheme
 
+BIG = "1" * 5000
 HEAD = "dimension 2\ndarts { a }\nlinks {\n  0: a\n  1: a\n  2: a\n}\n"
 
 
@@ -81,6 +84,23 @@ GMAP_CASES = {
         layer("scalar", "      a: 1\n      a: 2\n"),
         "dart 'a' has two values in layer 'L' (line 14, column 7)",
     ),
+    # past the interpreter's 4,300-digit limit of int()
+    "huge_dimension": (
+        f"dimension {BIG}\n",
+        "number of 5000 digits is too long (line 1, column 11)",
+    ),
+    "huge_link_dimension": (
+        f"dimension 2\ndarts {{ a }}\nlinks {{ {BIG}: a }}\n",
+        "number of 5000 digits is too long (line 3, column 9)",
+    ),
+    "huge_layer_orbit_dimension": (
+        HEAD + f"embeddings {{\n  L {{\n    orbit: 0 {BIG}\n",
+        "number of 5000 digits is too long (line 10, column 14)",
+    ),
+    "huge_color": (
+        layer("color_rgb", f"      a: 0 -{BIG} 0\n"),
+        "number of 5000 digits is too long (line 13, column 12)",
+    ),
 }
 
 RULE_CASES = {
@@ -116,6 +136,29 @@ RULE_CASES = {
         "rule r <1.> { }\n",
         "unexpected character '.' (line 1, column 10)",
     ),
+    "huge_dimension": (
+        f"rule r <{BIG}> {{ }}\n",
+        "number of 5000 digits is too long (line 1, column 9)",
+    ),
+    "huge_decoration": (
+        f"rule r <0> {{\n  left {{ a: <_, {BIG}> hook }}\n}}\n",
+        "number of 5000 digits is too long (line 2, column 17)",
+    ),
+    "huge_arc_dimension": (
+        f"rule r <0> {{\n  left {{ a: <0> hook a -{BIG}- a }}\n}}\n",
+        "number of 5000 digits is too long (line 2, column 25)",
+    ),
+}
+
+OFF_CASES = {
+    "huge_count": (
+        f"OFF\n3 {BIG} 0\n",
+        "number of 5000 digits is too long (line 2, column 1)",
+    ),
+    "huge_index": (
+        f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -{BIG}\n",
+        "number of 5000 digits is too long (line 6, column 1)",
+    ),
 }
 
 
@@ -136,3 +179,9 @@ def test_gmap_syntax_error_is_pinned(name):
 def test_rule_syntax_error_is_pinned(name):
     text, expected = RULE_CASES[name]
     assert _syntax_line(parse_rule_scheme, text) == f"E_SYNTAX {expected}"
+
+
+@pytest.mark.parametrize("name", sorted(OFF_CASES))
+def test_off_syntax_error_is_pinned(name):
+    text, expected = OFF_CASES[name]
+    assert _syntax_line(import_off, text) == f"E_SYNTAX {expected}"

@@ -1,9 +1,10 @@
 """Property tests: no text reaches a traceback, serialize∘parse is the
 identity on random valid maps with string and point layers, a scheme's
 instance is its set definition, a rewrite either gives a valid map or
-raises, leaving its host as it was, and a rewrite of a known-valid host
-(checked locally) ends as the same rewrite of an unmarked copy (checked
-in full)."""
+raises, leaving its host as it was, a chain of rewrites leaves every
+earlier map as it was, and a rewrite of a known-valid host (checked
+locally) ends as the same rewrite of an unmarked copy (checked in
+full)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,29 @@ def test_rewrite_gives_a_valid_map_or_raises_and_keeps_the_host(seed, n, rule, d
     assert serialize_gmap(host) == before
     # the text shows no per-dart link list, so compare those as well
     assert {d: host.graph.incident_links(d) for d in host.darts} == adjacency
+
+
+def _kept(g: Gmap):
+    """A map's text and, as the text shows no link order, each dart's links."""
+    return serialize_gmap(g), {d: g.graph.incident_links(d) for d in g.darts}
+
+
+@SETTINGS
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_a_chain_of_rewrites_keeps_every_ancestor(seed, n, data):
+    maps = [random_valid_gmap(seed, n=n, max_darts=12)]
+    kept = [_kept(maps[0])]
+    for _ in range(data.draw(st.integers(1, 4))):
+        host = maps[-1]
+        rule = data.draw(st.sampled_from(RULES) | pendant_rules(n))
+        anchor = data.draw(st.sampled_from(sorted(host.darts)))
+        try:
+            out = apply_rule(instantiate_rule(rule, host, anchor), host)
+        except GmapError:
+            continue
+        maps.append(out)
+        kept.append(_kept(out))
+    assert [_kept(g) for g in maps] == kept
 
 
 def _tagged(g: Gmap, domain: OrbitType, draw) -> Gmap:

@@ -116,6 +116,19 @@ def test_conservativity_outside_the_match(vi_rule, square_gmap):
         assert pos_after[dart] == pos_before[dart]
 
 
+def test_a_rewrite_copies_only_the_link_lists_it_writes(vi_rule, two_triangles_gmap):
+    host = two_triangles_gmap
+    for anchor in ("v0e0-2f0", "v2e0-2f0"):  # the second host is known-valid
+        inst = instantiate_rule(vi_rule, host, anchor)
+        match = complete_match(inst, host)
+        out = apply_rule(inst, host, match, directives=[MIDPOINT])
+        # preserved and deleted darts are the match image
+        touched = set(match.image) | (set(out.darts) - set(host.darts))
+        shared = {d for d in host.darts if d in out.graph and out.graph._adj[d] is host.graph._adj[d]}
+        assert shared == set(host.darts) - touched
+        host = out
+
+
 def test_missing_directive_is_an_error(vi_rule, square_gmap):
     inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
     with pytest.raises(MissingDirectiveError):
