@@ -109,7 +109,7 @@ class EmbeddingLayer:
     def copy(self) -> "EmbeddingLayer":
         """A copy with its own ``values`` dict, not normalized again."""
         layer = copy.copy(self)
-        layer.values = dict(self.values)
+        layer.values = self.values.copy()
         return layer
 
 
@@ -251,10 +251,9 @@ class Gmap:
         return self.graph.nodes
 
     def copy(self) -> "Gmap":
-        """An equal map, not marked known-valid.  Its graph shares per-dart
-        link lists with this one's, each copied on its first write (see
-        :meth:`LabeledGraph.copy`), so an edit of either map never shows
-        in the other."""
+        """An equal map, not marked known-valid.  Its graph shares the
+        per-dart link tuples with this one's (see :meth:`LabeledGraph.copy`),
+        and an edit of either map never shows in the other."""
         g = Gmap(self.graph.copy())
         g.embeddings = {name: layer.copy() for name, layer in self.embeddings.items()}
         return g

@@ -6,9 +6,9 @@ instances of :class:`LabeledGraph`.  Links carry stable ids so that
 parallel arcs and loops can be deleted individually; semantic equality
 ignores ids.
 
-Each node keeps one list of its incident links (a loop once), kept in
-the canonical order ``(dim, ends, id)`` as links are inserted.  That is
-the natural order of :class:`Link`, so no read has to sort.
+Each node keeps one tuple of its incident links (a loop once), in the
+canonical order ``(dim, ends, id)``.  That is the natural order of
+:class:`Link`, so no read has to sort.
 
 :meth:`LabeledGraph.reach` is the one traversal, for orbits, orbit-graph
 connectivity and match completion.  Its BFS order is a contract: the
@@ -16,22 +16,21 @@ starts first, in order and deduplicated, then at each node its links in
 canonical order, each link's ends in sorted order.
 
 Callers build a graph in one step with :meth:`LabeledGraph.build`, which
-appends every link to its ends' lists and sorts each list once at the
-end.  Only the library itself uses the underscore-prefixed in-place
-mutators: rule application on a :meth:`~LabeledGraph.copy` of the host
-graph, and the token parser that reports a ``.gmap`` document's first
-error.
+appends every link to its ends' lists and then replaces each list with
+its sorted tuple.  Only the library itself uses the underscore-prefixed
+in-place mutators: rule application on a :meth:`~LabeledGraph.copy` of
+the host graph, and the token parser that reports a ``.gmap`` document's
+first error.
 
-A copy shares every per-node list with its original, so copying costs
-two dict copies, not one list per node.  A graph copies a node's list
-the first time it writes to it after a copy; until then neither side
-owns it.  A rewrite therefore copies only the lists of the darts it
+A node's tuple never changes.  A copy shares every tuple with its
+original, so copying costs two dict copies.  A write replaces the tuples
+of the link's ends, so a rewrite builds new tuples only for the darts it
 touches, and no edit of either graph shows in the other.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Collection, Iterable
@@ -79,11 +78,9 @@ class LabeledGraph:
         if ambient_dimension < 0:
             raise DimensionError("ambient dimension must be >= 0")
         self.ambient_dimension = ambient_dimension
-        self._adj: dict[str, list[Link]] = {}
+        self._adj: dict[str, tuple[Link, ...]] = {}
         self._links: dict[str, Link] = {}
         self._next_link = 0
-        # nodes whose list this graph may write in place; None: all of them
-        self._owned: set[str] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -96,28 +93,27 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         """Build a graph in one go from ``nodes`` and ``(dim, ends)`` pairs.
 
-        The result, link ids and per-node lists included, and the first
+        The result, link ids and per-node tuples included, and the first
         error raised are those of adding the nodes and then the links one
         by one with :meth:`_add_node` and :meth:`_add_link`."""
         g = cls(ambient_dimension)
+        adj, made = g._adj, g._links
         for name in nodes:
             g._add_node(name)
-        adj, made = g._adj, g._links
+            adj[name] = []  # gathers the links, then becomes a tuple
         for dim, ends in links:
             link = Link(dim, g._checked_ends(ends, dim), f"L{len(made)}")
             made[link.id] = link
             for u in link.ends:
                 adj[u].append(link)
         g._next_link = len(made)
-        for incident in adj.values():
-            if len(incident) > 1:
-                incident.sort(key=_CANONICAL)
+        for u, incident in adj.items():
+            incident.sort(key=_CANONICAL)
+            adj[u] = tuple(incident)
         return g
 
     def copy(self) -> "LabeledGraph":
-        """An equal graph sharing the per-node lists with this one.  Both
-        give up ownership of them: each copies a list before its first
-        write, so no edit of one is seen by the other."""
+        """An equal graph sharing every per-node tuple with this one."""
         g = LabeledGraph(self.ambient_dimension)
         # dict.copy() clones the table, holes left by removals included;
         # dict() re-inserts each entry of a table with holes, 5x slower
@@ -125,7 +121,6 @@ class LabeledGraph:
         g._adj = self._adj.copy()
         g._links = self._links.copy()
         g._next_link = self._next_link
-        self._owned, g._owned = set(), set()
         return g
 
     # -- in-place mutators (library-internal) ----------------------------
@@ -135,15 +130,7 @@ class LabeledGraph:
             raise UnknownNodeError("node name must be non-empty")
         if name in self._adj:
             raise DuplicateNodeError(f"node {name!r} already present")
-        self._adj[name] = []
-
-    def _own(self, u: str) -> list[Link]:
-        """``u``'s list, copied first if another graph may share it."""
-        links = self._adj[u]
-        if self._owned is not None and u not in self._owned:
-            links = self._adj[u] = links.copy()
-            self._owned.add(u)
-        return links
+        self._adj[name] = ()
 
     def _checked_ends(self, ends: Iterable[str], dim: int) -> tuple[str, ...]:
         """The sorted distinct ends of a new link, after its checks."""
@@ -170,7 +157,9 @@ class LabeledGraph:
         self._next_link += 1
         self._links[link.id] = link
         for u in link.ends:
-            insort(self._own(u), link)
+            incident = self._adj[u]
+            at = bisect(incident, link)
+            self._adj[u] = incident[:at] + (link,) + incident[at:]
         return link.id
 
     def _remove_link(self, link_id: str) -> None:
@@ -178,13 +167,13 @@ class LabeledGraph:
         if link is None:
             raise UnknownLinkError(f"unknown link id {link_id!r}")
         for u in link.ends:
-            self._own(u).remove(link)
+            self._adj[u] = tuple([l for l in self._adj[u] if l is not link])
 
     def _remove_node(self, name: str) -> None:
         """Remove a node together with every link incident to it."""
         if name not in self._adj:
             raise UnknownNodeError(f"unknown node {name!r}")
-        for link in tuple(self._adj[name]):
+        for link in self._adj[name]:
             self._remove_link(link.id)
         del self._adj[name]
 
@@ -206,12 +195,13 @@ class LabeledGraph:
 
     def incident_links(self, node: str, dim: int | None = None) -> tuple[Link, ...]:
         """Links whose ends contain ``node`` (loops count once), in
-        canonical order; with ``dim`` given, only those of that dimension."""
+        canonical order; with ``dim`` given, only those of that dimension.
+        Without ``dim`` this is the node's stored tuple itself."""
         links = self._adj.get(node)
         if links is None:
             raise UnknownNodeError(f"unknown node {node!r}")
         if dim is None:
-            return tuple(links)
+            return links
         return tuple([l for l in links if l.dim == dim])
 
     def links_between(self, u: str, v: str, dim: int | None = None) -> tuple[Link, ...]:

@@ -7,16 +7,16 @@ connected component of the left side determines the whole match; the
 completion is a joint traversal of the pattern and the host.
 
 Application edits a copy of the host and never changes the host.  The
-copy's graph shares each dart's link list with the host until it first
-writes to it (:meth:`LabeledGraph.copy`), so only the lists of the darts
-a rewrite touches are copied.  It deletes the images of left-only darts
-and of every left link, adds the right side (routing preserved names
-through the match), fills embedding values of created darts from
-directives, and then validates: instantiation alone does not guarantee
-the result is a generalized map, so the check is mandatory.  Its result
-is marked known-valid, and on such a host the check covers only the
-darts near the rewrite (``Gmap._validate_rewritten``), with the same
-report; any other host is validated in full.
+copy's graph shares each dart's link tuple with the host
+(:meth:`LabeledGraph.copy`), and only the darts a rewrite touches get
+new tuples.  It deletes the images of left-only darts and of every left
+link, adds the right side (routing preserved names through the match),
+fills embedding values of created darts from directives, and then
+validates: instantiation alone does not guarantee the result is a
+generalized map, so the check is mandatory.  Its result is marked
+known-valid, and on such a host the check covers only the darts near the
+rewrite (``Gmap._validate_rewritten``), with the same report; any other
+host is validated in full.
 """
 
 from __future__ import annotations
@@ -190,28 +190,27 @@ def _average(value_type: str, values: list[Any]) -> Any:
     raise DirectiveError(f"midpoint is not defined for {value_type} values")
 
 
-class _DirectiveTable:
-    def __init__(self, directives: Iterable[EmbeddingDirective]):
-        self._table: dict[tuple[str, str], EmbeddingDirective] = {}
-        for d in directives:
-            key = (d.layer, d.node)
-            if key in self._table:
-                raise DirectiveError(f"duplicate directive for layer {d.layer!r}, node {d.node!r}")
-            self._table[key] = d
-
-    def get(self, layer: str, node: str) -> EmbeddingDirective | None:
-        return self._table.get((layer, node))
-
-    def check_against(self, rule: InstantiatedRule, layers: Iterable[str]) -> None:
-        layer_names = set(layers)
-        created = {split_instance(q)[1] for q in rule.right_only}
-        for layer, node in self._table:
-            if layer not in layer_names:
-                raise DirectiveError(f"directive references unknown layer {layer!r}")
-            if node not in created:
-                raise DirectiveError(
-                    f"directive references node {node!r}, which creates no darts"
-                )
+def _directive_table(
+    directives: Iterable[EmbeddingDirective],
+    rule: InstantiatedRule,
+    layers: Mapping[str, EmbeddingLayer],
+) -> dict[tuple[str, str], EmbeddingDirective]:
+    """``{(layer, node): directive}``, once no pair repeats and every
+    directive names one of ``layers`` and a node that creates darts."""
+    table: dict[tuple[str, str], EmbeddingDirective] = {}
+    for d in directives:
+        if (d.layer, d.node) in table:
+            raise DirectiveError(f"duplicate directive for layer {d.layer!r}, node {d.node!r}")
+        table[d.layer, d.node] = d
+    created = {split_instance(q)[1] for q in rule.right_only}
+    for layer, node in table:
+        if layer not in layers:
+            raise DirectiveError(f"directive references unknown layer {layer!r}")
+        if node not in created:
+            raise DirectiveError(
+                f"directive references node {node!r}, which creates no darts"
+            )
+    return table
 
 
 def _directive_value(
@@ -293,8 +292,7 @@ def apply_rule(
     if len(match.image) != len(match.mapping):
         raise MatchError("match is not injective")
 
-    table = _DirectiveTable(directives)
-    table.check_against(rule, gmap.embeddings)
+    table = _directive_table(directives, rule, gmap.embeddings)
 
     link_images = _matched_link_ids(rule, gmap, match)
     matched_ids = set(link_images.values())
@@ -338,7 +336,7 @@ def apply_rule(
             del values[a]
         for q, host_name in created:
             orbit_dart, node = split_instance(q)
-            directive = table.get(layer.name, node)
+            directive = table.get((layer.name, node))
             if directive is None:
                 raise MissingDirectiveError(
                     f"no directive for layer {layer.name!r} on created node {node!r}"

@@ -522,7 +522,7 @@ def import_off(text: str):
     if len(rows) < 2:
         raise ParseError("missing OFF counts line", rows[0][0], 1)
     lineno, counts = rows[1]
-    if len(counts) != 3 or not all(c.isdigit() for c in counts):
+    if len(counts) != 3 or not all(c.isdecimal() for c in counts):
         raise ParseError("counts line must be three naturals", lineno, 1)
     n_vertices, n_faces, _ = (_integer(c, lineno, 1) for c in counts)
     body_rows = rows[2:]
@@ -542,7 +542,7 @@ def import_off(text: str):
             raise ParseError(f"bad vertex coordinates {' '.join(fields)!r}", lineno, 1) from None
     faces = []
     for lineno, fields in body_rows[n_vertices:]:
-        if not all(f.lstrip("-").isdigit() for f in fields):
+        if not all(f.lstrip("-").isdecimal() for f in fields):
             raise ParseError("face line must contain integers", lineno, 1)
         nums = [_integer(f, lineno, 1) for f in fields]
         if not nums or len(nums) != nums[0] + 1:

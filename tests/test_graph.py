@@ -350,6 +350,7 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
         g = LabeledGraph.build(n, nodes, links)
         h = g.copy()
         generations = [g, h, h.copy()]
+        assert all(type(t) is tuple for x in generations for t in x._adj.values())
         seen = [_seen(x) for x in generations]
         for step in range(rng.randint(1, 30)):
             i = rng.randrange(3)  # the original too, not only the copies
@@ -363,6 +364,7 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
                 x._remove_node(rng.choice(x.nodes))
             else:
                 x._add_node(f"w{step}")
+            assert all(type(t) is tuple for t in x._adj.values())
             for j, y in enumerate(generations):
                 if j != i:
                     assert _seen(y) == seen[j]

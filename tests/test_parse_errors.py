@@ -159,6 +159,15 @@ OFF_CASES = {
         f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 -{BIG}\n",
         "number of 5000 digits is too long (line 6, column 1)",
     ),
+    # digit characters that int() does not read: superscript two, circled one
+    "superscript_count": (
+        "OFF\n\u00b2 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+        "counts line must be three naturals (line 2, column 1)",
+    ),
+    "circled_index": (
+        "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u2460\n",
+        "face line must contain integers (line 6, column 1)",
+    ),
 }
 
 

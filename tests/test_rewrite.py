@@ -126,6 +126,9 @@ def test_a_rewrite_copies_only_the_link_lists_it_writes(vi_rule, two_triangles_g
         touched = set(match.image) | (set(out.darts) - set(host.darts))
         shared = {d for d in host.darts if d in out.graph and out.graph._adj[d] is host.graph._adj[d]}
         assert shared == set(host.darts) - touched
+        # a read returns the shared tuple itself, not a copy of it
+        for d in shared:
+            assert out.graph.incident_links(d) is host.graph.incident_links(d)
         host = out
 
 
@@ -193,6 +196,24 @@ def test_directive_for_unknown_layer_rejected(vi_rule, square_gmap):
             square_gmap,
             directives=[MIDPOINT, parse_directive("nope:n1=midpoint(n0)")],
         )
+
+
+@pytest.mark.parametrize(
+    "directives, message",
+    [
+        ([MIDPOINT, "pos:n1=constant(0,0,0)"], "duplicate directive for layer 'pos', node 'n1'"),
+        ([MIDPOINT, "nope:n1=midpoint(n0)"], "directive references unknown layer 'nope'"),
+        ([MIDPOINT, "pos:n0=midpoint(n0)"], "directive references node 'n0', which creates no darts"),
+        # the duplicate is found while the table is built, before any reference check
+        (["nope:n1=midpoint(n0)", MIDPOINT, "pos:n1=constant(0,0,0)"], "duplicate directive for layer 'pos', node 'n1'"),
+    ],
+)
+def test_directive_errors_are_pinned(vi_rule, square_gmap, directives, message):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    parsed = [parse_directive(d) if isinstance(d, str) else d for d in directives]
+    with pytest.raises(DirectiveError) as exc:
+        apply_rule(inst, square_gmap, directives=parsed)
+    assert str(exc.value) == message
 
 
 def test_apply_output_is_byte_stable(vi_rule, square_gmap):
