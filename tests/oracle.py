@@ -2,8 +2,9 @@
 
 Everything here trades speed for obviousness: validation enumerates raw
 link 4-tuples, orbits are a reachability fixpoint, instantiation is the
-set definition of a scheme's instance, and matching is an exhaustive
-backtracking search, next to a queue-based reference completion.  The
+set definition of a scheme's instance, application is the set
+definition of a rewrite, and matching is an exhaustive backtracking
+search, next to a queue-based reference completion.  The
 test suite checks that the kernel agrees with these on generated
 instances; none of this is reachable from the CLI.  Instances are
 capped at desk scale (tens of darts).
@@ -14,16 +15,21 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from gmapkit.errors import (
     ConstraintViolationError,
+    DanglingDartError,
     DimensionError,
+    DirectiveError,
     MatchError,
+    MissingDirectiveError,
+    PostValidationError,
     UnknownNodeError,
 )
 from gmapkit.gmap import (
     CycleViolation,
+    EmbeddingLayer,
     EmbeddingViolation,
     Gmap,
     IncidenceViolation,
@@ -32,8 +38,10 @@ from gmapkit.gmap import (
 )
 from gmapkit.graph import LabeledGraph
 from gmapkit.orbits import REMOVE, OrbitType, RelabelingFunction
-from gmapkit.rewrite import Match, complete_match
-from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name
+from gmapkit.rewrite import EmbeddingDirective, Match, complete_match
+from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name, split_instance
+
+from iso import links_between
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,127 @@ def oracle_instantiate(
     return nodes, tuple(sorted(links))
 
 
+def _oracle_value(
+    directive: EmbeddingDirective,
+    layer: EmbeddingLayer,
+    rule: InstantiatedRule,
+    m: Mapping[str, str],
+    q: str,
+):
+    """The value ``directive`` gives the dart created for ``q``: its
+    literal, the host value of the matched same-origin copy of the
+    reference node, or the mean of the (at most two) distinct host values
+    on the reference node's images."""
+    if directive.kind == "constant":
+        return directive.value
+    ref = directive.ref
+    if directive.kind == "inherit":
+        origins = [split_instance(q)[0]]
+    else:
+        origins = sorted(rule.orbit_graph.nodes)
+    found = []
+    for u in origins:
+        source = instance_name(u, ref)
+        if source not in m:
+            raise DirectiveError(
+                f"{directive.kind}({ref}) for layer {layer.name!r}: {source!r} is not matched"
+            )
+        found.append(layer.values[m[source]])
+    if directive.kind == "inherit":
+        return found[0]
+    distinct = []
+    for v in found:
+        if not any(values_equal(layer.value_type, v, r) for r in distinct):
+            distinct.append(v)
+    if len(distinct) > 2:
+        raise DirectiveError(
+            f"midpoint({ref}) for layer {layer.name!r} found {len(distinct)} distinct values"
+        )
+    if layer.value_type == "scalar":
+        return sum(distinct) / len(distinct)
+    if layer.value_type in ("point2d", "point3d"):
+        return tuple(sum(c) / len(distinct) for c in zip(*distinct))
+    raise DirectiveError(f"midpoint is not defined for {layer.value_type} values")
+
+
+def oracle_apply(
+    rule: InstantiatedRule,
+    host: Gmap,
+    match: Match,
+    directives: Iterable[EmbeddingDirective] = (),
+) -> Gmap:
+    """The rewrite of ``host`` by ``rule`` at ``match``, by the set
+    definition of application, with ``m`` the match:
+
+    - darts: ``(D \\ m(L_only)) ∪ C``, where ``C`` holds one name per
+      right-only node ``q``, in ``right_only`` order: the first of ``q``,
+      ``q#1``, ``q#2``, ... that no kept or earlier created dart has;
+    - links: the multiset ``(E_host \\ M) ⊎ r(E_R)``, where ``M`` is the
+      set of host links that left links land on, and ``r`` routes
+      preserved names through ``m`` and created names to ``C``;
+    - values: each kept dart keeps its host value, and each created dart
+      takes its directive's value.
+
+    Errors: a deleted dart with a link outside ``M`` raises
+    ``DanglingDartError`` (the first by left node name, then link order);
+    a created dart with no directive for a layer raises
+    ``MissingDirectiveError``; a result that :func:`oracle_validate`
+    rejects raises ``PostValidationError`` with that report.
+    ``directives`` must name known layers and nodes that create darts,
+    once each.
+    """
+    m = match.mapping
+    images = {(l.dim, tuple(sorted({m[x] for x in l.ends}))) for l in rule.left.links}
+    hit = {h.id for h in host.graph.links if (h.dim, h.ends) in images}
+
+    deleted = {m[x] for x in rule.left_only}
+    for x in sorted(rule.left_only):
+        a = m[x]
+        for h in sorted(l for l in host.graph.links if a in l.ends):
+            if h.id not in hit:
+                raise DanglingDartError(
+                    f"deleting dart {a!r} would dangle link "
+                    f"{'-'.join(h.ends)} of dimension {h.dim}"
+                )
+
+    kept = [d for d in host.darts if d not in deleted]
+    taken = set(kept)
+    created: dict[str, str] = {}
+    for q in rule.right_only:
+        name, k = q, 0
+        while name in taken:
+            k += 1
+            name = f"{q}#{k}"
+        taken.add(name)
+        created[q] = name
+    r = {**{p: m[p] for p in rule.preserved}, **created}
+
+    links = [(h.dim, h.ends) for h in host.graph.links if h.id not in hit]
+    links += [(l.dim, {r[u] for u in l.ends}) for l in rule.right.links]
+
+    table = {(d.layer, d.node): d for d in directives}
+    layers = []
+    for layer in host.embeddings.values():
+        values = {d: layer.values[d] for d in kept}
+        for q, name in created.items():
+            node = split_instance(q)[1]
+            directive = table.get((layer.name, node))
+            if directive is None:
+                raise MissingDirectiveError(
+                    f"no directive for layer {layer.name!r} on created node {node!r}"
+                )
+            values[name] = _oracle_value(directive, layer, rule, m, q)
+        layers.append(EmbeddingLayer(layer.name, layer.domain, layer.value_type, values))
+
+    out = Gmap.build(host.n, kept + list(created.values()), links, layers)
+    report = oracle_validate(out)
+    if not report.ok:
+        raise PostValidationError(
+            f"rewrite by {rule.rule.name!r} produced {len(report)} constraint violations", report
+        )
+    return out
+
+
 def oracle_match(
     pattern: LabeledGraph, g: Gmap, seed: Mapping[str, str]
 ) -> list[dict[str, str]]:
@@ -172,7 +301,7 @@ def oracle_match(
         # check every pattern link between y and an assigned node
         for link in pattern.incident_links(y):
             if link.is_loop:
-                if not g.graph.links_between(mapping[y], mapping[y], link.dim):
+                if not links_between(g.graph, mapping[y], mapping[y], link.dim):
                     return False
                 continue
             z = link.other_end(y)
@@ -180,7 +309,7 @@ def oracle_match(
                 continue
             if mapping[y] == mapping[z]:
                 return False
-            if not g.graph.links_between(mapping[y], mapping[z], link.dim):
+            if not links_between(g.graph, mapping[y], mapping[z], link.dim):
                 return False
         return True
 

@@ -147,6 +147,20 @@ def test_apply_broken_scheme_reports_postvalidation(workdir, capsys):
     assert not (workdir / "out.gmap").exists()
 
 
+def test_apply_on_a_broken_host_is_one_match_line(workdir, capsys):
+    for name in ("vertex_insert_2.jrule", "broken_three_faces.gmap"):
+        shutil.copy(FIXTURES / name, workdir / name)
+    argv = ["apply", "vertex_insert_2.jrule", "broken_three_faces.gmap", "--dart", "a1"]
+    assert main(argv + ["-o", "out.gmap"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "E_MATCH host is not well-formed at dart 'a1', dim 2: "
+        "dart 'a1' has 2 links of dimension 2, expected 1\n"
+    )
+    assert not (workdir / "out.gmap").exists()
+
+
 def test_export_obj(workdir):
     assert main(["export-obj", "square.gmap", "--pos", "pos", "-o", "out.obj"]) == 0
     text = (workdir / "out.obj").read_text()

@@ -1,6 +1,7 @@
 """Match completion against the exhaustive-search oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,13 @@ from gmapkit import (
     Gmap,
     LabeledGraph,
     MatchError,
+    apply_rule,
     complete_match,
     extend_match,
     instance_name,
     instantiate_rule,
+    parse_directive,
+    serialize_gmap,
 )
 
 from conftest import vertex_insert_lhs_free
@@ -60,6 +64,103 @@ def test_pattern_edge_cannot_land_on_loop():
     with pytest.raises(MatchError):
         extend_match(pattern, host, {"x": "d"})
     assert oracle_match(pattern, host, {"x": "d"}) == []
+
+
+def _free_darts(names, n=2):
+    """Darts with a loop in every dimension."""
+    return [(i, {d}) for d in names for i in range(n + 1)]
+
+
+# x -0- y, and x alone with a 0-loop
+EDGE = LabeledGraph.build(2, ["x", "y"], [(0, {"x", "y"})])
+LOOP = LabeledGraph.build(2, ["x"], [(0, {"x"})])
+
+
+@pytest.mark.parametrize(
+    "pattern, links, seed, message",
+    [
+        (LOOP, _free_darts("d"), {"q": "d"}, "seed key 'q' is not a pattern node"),
+        (
+            LabeledGraph.build(2, ["x", "y"]),
+            _free_darts("d"),
+            {"x": "d"},
+            "no seed for the pattern component containing 'y'",
+        ),
+        (
+            LOOP,
+            [(0, {"a", "b"}), (1, {"a"}), (1, {"b"}), (2, {"a"}), (2, {"b"})],
+            {"x": "a"},
+            "pattern has a 0-loop at 'x' but host dart 'a' is 0-linked to 'b'",
+        ),
+        (
+            EDGE,
+            _free_darts("d"),
+            {"x": "d"},
+            "pattern link 'x'-0-'y' cannot map onto the 0-loop at host dart 'd'",
+        ),
+        (
+            EDGE,
+            [(0, {"a", "b"})] + _free_darts("c"),
+            {"x": "a", "y": "c"},
+            "conflicting images for 'y': 'c' vs 'b'",
+        ),
+        (
+            LabeledGraph.build(2, ["x", "y"]),
+            _free_darts("d"),
+            {"x": "d", "y": "d"},
+            "completed match is not injective",
+        ),
+        (
+            EDGE,
+            [(0, {"a", "b"}), (0, {"a"})],
+            {"x": "a"},
+            "host is not well-formed at dart 'a', dim 0: "
+            "dart 'a' has 2 links of dimension 0, expected 1",
+        ),
+        (
+            EDGE,
+            [(1, {"a", "b"})],
+            {"x": "a"},
+            "host is not well-formed at dart 'a', dim 0: "
+            "dart 'a' has 0 links of dimension 0, expected 1",
+        ),
+    ],
+)
+def test_match_errors_are_pinned(pattern, links, seed, message):
+    darts = sorted({d for _, ends in links for d in ends})
+    host = Gmap.build(2, darts, links)
+    with pytest.raises(MatchError) as exc:
+        extend_match(pattern, host, seed)
+    assert str(exc.value) == message
+
+
+MIDPOINT = parse_directive("pos:n1=midpoint(n0)")
+
+
+def test_apply_rule_pins_its_match_checks(vi_rule, square_gmap):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    match = complete_match(inst, square_gmap)
+    first, second = sorted(match.mapping)[:2]
+    partial = replace(match, mapping={first: match[first]})
+    with pytest.raises(MatchError) as exc:
+        apply_rule(inst, square_gmap, partial, [MIDPOINT])
+    assert str(exc.value) == "match does not cover the left side exactly"
+    folded = replace(match, mapping={**match.mapping, second: match[first]})
+    with pytest.raises(MatchError) as exc:
+        apply_rule(inst, square_gmap, folded, [MIDPOINT])
+    assert str(exc.value) == "match is not injective"
+
+
+def test_a_match_on_another_map_is_refused(vi_rule, square_gmap):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    match = complete_match(inst, square_gmap)
+    # the rewritten map keeps every matched dart but not the 0-links between them
+    out = apply_rule(inst, square_gmap, match, [MIDPOINT])
+    assert match.image <= set(out.darts)
+    before = serialize_gmap(out)
+    with pytest.raises(MatchError):
+        apply_rule(inst, out, match, [MIDPOINT])
+    assert serialize_gmap(out) == before and out._known_valid
 
 
 def test_match_via_rule_seed(vi_rule, square_gmap):

@@ -1,7 +1,7 @@
 """Property tests: no text reaches a traceback, serialize∘parse is the
 identity on random valid maps with string and point layers, a scheme's
-instance is its set definition, a rewrite either gives a valid map or
-raises, leaving its host as it was, a chain of rewrites leaves every
+instance is its set definition, a rewrite is its set definition and
+either gives a valid map or raises, leaving its host as it was, a chain of rewrites leaves every
 earlier map as it was, and a rewrite of a known-valid host (checked
 locally) ends as the same rewrite of an unmarked copy (checked in
 full)."""
@@ -22,6 +22,7 @@ from gmapkit import (
     PostValidationError,
     SchemeArc,
     apply_rule,
+    complete_match,
     instantiate_rule,
     instantiate_scheme,
     parse_gmap,
@@ -32,7 +33,7 @@ from gmapkit import (
 )
 
 from conftest import FIXTURES, fixture_text
-from oracle import oracle_instantiate, random_valid_gmap
+from oracle import oracle_apply, oracle_instantiate, random_valid_gmap
 
 GMAP_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.gmap"))]
 RULE_TEXTS = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.jrule"))]
@@ -262,3 +263,66 @@ def test_local_post_validation_agrees_with_full_validation(seed, n, data):
             assert out == plain_out
             assert out._known_valid and plain_out._known_valid
             host = out
+
+
+DUAL = parse_rule_scheme(
+    "rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <2,1,0> } }"
+)
+
+
+def _said(rewrite, host, inst, match, directives):
+    """A rewrite's text, or its error class with the report or message."""
+    try:
+        out = rewrite(inst, host, match, directives)
+    except PostValidationError as exc:
+        return None, (PostValidationError, exc.report.lines())
+    except GmapError as exc:
+        return None, (type(exc), str(exc))
+    return out, serialize_gmap(out)
+
+
+@st.composite
+def erase_rules(draw, n):
+    """A rule that deletes the orbit of its hook: it dangles unless that
+    orbit is closed under every dimension."""
+    dims = ",".join(str(d) for d in sorted(draw(st.sets(st.integers(0, n), min_size=1))))
+    return parse_rule_scheme(f"rule E <{dims}> {{ left {{ n0: <{dims}> hook }} right {{ }} }}")
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_apply_rule_is_the_set_definition(seed, n, data):
+    # a chain, so hosts are marked and unmarked and created names clash
+    host = random_valid_gmap(seed, n=n, max_darts=10)
+    if data.draw(st.booleans()):
+        dims = data.draw(st.sets(st.integers(0, n)))
+        host = _tagged(host, OrbitType(tuple(sorted(dims))), data.draw)
+    host._known_valid = data.draw(st.booleans())
+    rules = st.sampled_from(RULES + [DUAL]) | pendant_rules(n) | erase_rules(n)
+    again = False
+    for _ in range(data.draw(st.integers(1, 5))):
+        # a rewrite that is done again where it was done creates names it created
+        if not (again and data.draw(st.integers(0, 3))):
+            rule = data.draw(rules)
+            anchor = data.draw(st.sampled_from(sorted(host.darts)))
+        again = False
+        try:
+            inst = instantiate_rule(rule, host, anchor)
+            match = complete_match(inst, host)
+        except GmapError:
+            continue
+        directives = []
+        if host.embeddings:
+            created = sorted({split_instance(q)[1] for q in inst.right_only})
+            matched = sorted({split_instance(x)[1] for x in inst.left.nodes})
+            kinds = ["constant(0)", "constant(1)"]
+            kinds += [f"{kind}({m})" for m in matched for kind in ("inherit", "midpoint")]
+            kind = st.sampled_from(kinds)
+            directives = [parse_directive(f"tag:{c}={data.draw(kind)}") for c in created]
+        before = serialize_gmap(host)
+        out, said = _said(apply_rule, host, inst, match, directives)
+        assert said == _said(oracle_apply, host, inst, match, directives)[1]
+        assert serialize_gmap(host) == before
+        if out is not None and anchor in out.graph:
+            host = out if data.draw(st.booleans()) else parse_gmap(said)
+            again = True
