@@ -23,7 +23,7 @@ from .errors import (
     EmbeddingError,
     UnknownNodeError,
 )
-from .graph import LabeledGraph
+from .graph import LabeledGraph, Link
 from .orbits import OrbitType
 
 #: Componentwise tolerance for comparing numeric embedding values.
@@ -276,14 +276,18 @@ class Gmap:
 
     # -- involutions -----------------------------------------------------
 
-    def alpha(self, dart: str, dim: int) -> str:
-        """The unique dart i-linked to ``dart``; ``dart`` itself on a loop."""
+    def alpha_link(self, dart: str, dim: int) -> Link:
+        """The unique i-link of ``dart``."""
         links = self.graph.incident_links(dart, dim)
         if len(links) != 1:
             raise ConstraintViolationError(
                 f"dart {dart!r} has {len(links)} links of dimension {dim}, expected 1"
             )
-        return links[0].other_end(dart)
+        return links[0]
+
+    def alpha(self, dart: str, dim: int) -> str:
+        """The unique dart i-linked to ``dart``; ``dart`` itself on a loop."""
+        return self.alpha_link(dart, dim).other_end(dart)
 
     # -- orbits and cells --------------------------------------------------
 

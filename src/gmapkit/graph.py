@@ -204,11 +204,6 @@ class LabeledGraph:
             return links
         return tuple([l for l in links if l.dim == dim])
 
-    def links_between(self, u: str, v: str, dim: int | None = None) -> tuple[Link, ...]:
-        """All links whose ends are exactly ``{u, v}`` (``u == v``: loops)."""
-        wanted = (u,) if u == v else (min(u, v), max(u, v))
-        return tuple(l for l in self.incident_links(u, dim) if l.ends == wanted)
-
     def reach(self, starts: Iterable[str], dims: Collection[int] | None = None) -> tuple[str, ...]:
         """Nodes reachable from ``starts`` over links with dims in ``dims`` (all
         if ``None``), in BFS order: the starts first, in order and deduplicated,

@@ -4,19 +4,23 @@ A match of an instantiated rule is an injective, dimension- and
 incidence-preserving map of the left side into a host map.  Because
 every host dart has a unique i-link per dimension, one seed pair per
 connected component of the left side determines the whole match; the
-completion is a joint traversal of the pattern and the host.
+completion is a joint traversal of the pattern and the host, and it
+keeps the host link each left link lands on.
 
-Application edits a copy of the host and never changes the host.  The
-copy's graph shares each dart's link tuple with the host
-(:meth:`LabeledGraph.copy`), and only the darts a rewrite touches get
-new tuples.  It deletes the images of left-only darts and of every left
-link, adds the right side (routing preserved names through the match),
-fills embedding values of created darts from directives, and then
-validates: instantiation alone does not guarantee the result is a
-generalized map, so the check is mandatory.  Its result is marked
-known-valid, and on such a host the check covers only the darts near the
-rewrite (``Gmap._validate_rewritten``), with the same report; any other
-host is validated in full.
+Application is defined on sets.  With ``m`` the match and ``M`` the host
+links it keeps, the result has the darts ``(D \\ m(L_only)) ∪ C``, where
+``C`` names each created dart ``q``, or ``q#k`` on a clash; the links
+``(E_host \\ M) ⊎ r(E_R)``, where ``r`` routes preserved names through
+``m`` and created names to ``C``; the host values of kept darts; and
+directive values for created darts.  It edits a copy of the host and
+never changes the host.  The copy's graph shares each dart's link tuple
+with the host (:meth:`LabeledGraph.copy`), and only the darts a rewrite
+touches get new tuples.  The result is then validated: instantiation
+alone does not guarantee it is a generalized map, so the check is
+mandatory.  Its result is marked known-valid, and on such a host the
+check covers only the darts near the rewrite
+(``Gmap._validate_rewritten``), with the same report; any other host is
+validated in full.
 """
 
 from __future__ import annotations
@@ -35,15 +39,17 @@ from .errors import (
     UnknownNodeError,
 )
 from .gmap import EmbeddingLayer, Gmap, normalize_value, values_equal
-from .graph import LabeledGraph
+from .graph import LabeledGraph, Link
 from .scheme import InstantiatedRule, instance_name, split_instance
 
 
 @dataclass(frozen=True)
 class Match:
-    """Injective map from left-side names to host darts."""
+    """Injective map from left-side names to host darts, with the host
+    link that each left link lands on, keyed by the left link's id."""
 
     mapping: dict[str, str]
+    links: dict[str, Link]
 
     @property
     def image(self) -> frozenset[str]:
@@ -56,9 +62,9 @@ class Match:
         return len(self.mapping)
 
 
-def _forced(gmap: Gmap, dart: str, dim: int) -> str:
+def _forced(gmap: Gmap, dart: str, dim: int) -> Link:
     try:
-        return gmap.alpha(dart, dim)
+        return gmap.alpha_link(dart, dim)
     except ConstraintViolationError as exc:
         raise MatchError(f"host is not well-formed at dart {dart!r}, dim {dim}: {exc}") from exc
 
@@ -82,10 +88,12 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
         raise MatchError(f"no seed for the pattern component containing {missed!r}")
 
     # reach finds each non-seed x through an earlier node's link, which maps it
+    links: dict[str, Link] = {}
     for x in order:
         a = mapping[x]
         for link in pattern.incident_links(x):
-            b = _forced(gmap, a, link.dim)
+            host = links[link.id] = _forced(gmap, a, link.dim)
+            b = host.other_end(a)
             if link.is_loop:
                 if b != a:
                     raise MatchError(
@@ -108,7 +116,7 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
                 mapping[y] = b
     if len(set(mapping.values())) != len(mapping):
         raise MatchError("completed match is not injective")
-    return Match(mapping)
+    return Match(mapping, links)
 
 
 def complete_match(rule: InstantiatedRule, gmap: Gmap, seed: Mapping[str, str] | None = None) -> Match:
@@ -252,50 +260,40 @@ def _directive_value(
 # application
 
 
-def _matched_link_ids(rule: InstantiatedRule, gmap: Gmap, match: Match) -> dict[str, str]:
-    """Map each left link id to the host link id it lands on."""
-    out: dict[str, str] = {}
-    for link in rule.left.links:
-        x, y = link.ends[0], link.ends[-1]
-        a, b = match[x], match[y]
-        host = gmap.graph.links_between(a, b, link.dim)
-        if len(host) != 1:
-            raise MatchError(
-                f"left link {x!r}-{link.dim}-{y!r} maps onto "
-                f"{len(host)} host links between {a!r} and {b!r}"
-            )
-        out[link.id] = host[0].id
-    return out
-
-
 def apply_rule(
     rule: InstantiatedRule,
     gmap: Gmap,
     match: Match | None = None,
     directives: Iterable[EmbeddingDirective] = (),
 ) -> Gmap:
-    """Rewrite ``gmap`` by ``rule`` at ``match`` and return the new map.
+    """Rewrite ``gmap`` by ``rule`` at ``match`` and return the new map,
+    as defined on sets in the module docstring.
 
-    Raises :class:`DanglingDartError` when a deleted dart still has
-    links outside the match image, :class:`MissingDirectiveError` when a
-    created dart lacks a value for some layer, and
-    :class:`PostValidationError` (carrying the full report) when the
-    result violates the generalized-map constraints.  When ``gmap`` is
-    itself a result of this function, only the darts near the rewrite
-    are checked, which finds the same violations.  Returned maps are
-    marked as such; the host is never changed.
+    The host links it removes are the ones ``match`` kept, so a match
+    completed on another map, with a link ``gmap`` lacks, raises
+    :class:`MatchError`.  Raises :class:`DanglingDartError` when a
+    deleted dart still has links outside the match image,
+    :class:`MissingDirectiveError` when a created dart lacks a value for
+    some layer, and :class:`PostValidationError` (carrying the full
+    report) when the result violates the generalized-map constraints.
+    When ``gmap`` is itself a result of this function, only the darts
+    near the rewrite are checked, which finds the same violations.
+    Returned maps are marked as such; the host is never changed.
     """
     if match is None:
         match = complete_match(rule, gmap)
-    if set(match.mapping) != set(rule.left.nodes):
+    left_links = {link.id for link in rule.left.links}
+    if set(match.mapping) != set(rule.left.nodes) or match.links.keys() != left_links:
         raise MatchError("match does not cover the left side exactly")
     if len(match.image) != len(match.mapping):
         raise MatchError("match is not injective")
 
     table = _directive_table(directives, rule, gmap.embeddings)
 
-    link_images = _matched_link_ids(rule, gmap, match)
-    matched_ids = set(link_images.values())
+    host_links = gmap.graph._links
+    if any(host_links.get(link.id) != link for link in match.links.values()):
+        raise MatchError("match was completed on another map")
+    matched_ids = {link.id for link in match.links.values()}
 
     deleted_darts = {match[x] for x in rule.left_only}
     for x in sorted(rule.left_only):

@@ -4,10 +4,10 @@ Everything here trades speed for obviousness: validation enumerates raw
 link 4-tuples, orbits are a reachability fixpoint, instantiation is the
 set definition of a scheme's instance, application is the set
 definition of a rewrite, and matching is an exhaustive backtracking
-search, next to a queue-based reference completion.  The
-test suite checks that the kernel agrees with these on generated
-instances; none of this is reachable from the CLI.  Instances are
-capped at desk scale (tens of darts).
+search, next to a queue-based reference completion.  The test suite
+checks that the kernel agrees with these on generated instances; none
+of this is reachable from the CLI.  Instances are capped at desk scale
+(tens of darts).
 """
 
 from __future__ import annotations
@@ -395,7 +395,9 @@ def _forced(gmap: Gmap, dart: str, dim: int) -> str:
 
 
 def reference_extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> Match:
-    """``extend_match`` as a seed-checked BFS queue over the pattern."""
+    """``extend_match`` as a seed-checked BFS queue over the pattern; the
+    host link of each pattern link is then the one link between the
+    images of its ends."""
     for x, a in seed.items():
         if x not in pattern:
             raise MatchError(f"seed key {x!r} is not a pattern node")
@@ -438,7 +440,12 @@ def reference_extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str,
                 queue.append(y)
     if len(set(mapping.values())) != len(mapping):
         raise MatchError("completed match is not injective")
-    return Match(mapping)
+    links = {}
+    for link in pattern.links:
+        (links[link.id],) = links_between(
+            gmap.graph, mapping[link.ends[0]], mapping[link.ends[-1]], link.dim
+        )
+    return Match(mapping, links)
 
 
 # ---------------------------------------------------------------------------

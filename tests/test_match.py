@@ -66,9 +66,9 @@ def test_pattern_edge_cannot_land_on_loop():
     assert oracle_match(pattern, host, {"x": "d"}) == []
 
 
-def _free_darts(names, n=2):
-    """Darts with a loop in every dimension."""
-    return [(i, {d}) for d in names for i in range(n + 1)]
+def _free_darts(names):
+    """Links of 2-darts with a loop in every dimension."""
+    return [(i, {d}) for d in names for i in range(3)]
 
 
 # x -0- y, and x alone with a 0-loop
@@ -145,6 +145,11 @@ def test_apply_rule_pins_its_match_checks(vi_rule, square_gmap):
     with pytest.raises(MatchError) as exc:
         apply_rule(inst, square_gmap, partial, [MIDPOINT])
     assert str(exc.value) == "match does not cover the left side exactly"
+    # every left link needs its host link too
+    unlinked = replace(match, links={})
+    with pytest.raises(MatchError) as exc:
+        apply_rule(inst, square_gmap, unlinked, [MIDPOINT])
+    assert str(exc.value) == "match does not cover the left side exactly"
     folded = replace(match, mapping={**match.mapping, second: match[first]})
     with pytest.raises(MatchError) as exc:
         apply_rule(inst, square_gmap, folded, [MIDPOINT])
@@ -158,8 +163,9 @@ def test_a_match_on_another_map_is_refused(vi_rule, square_gmap):
     out = apply_rule(inst, square_gmap, match, [MIDPOINT])
     assert match.image <= set(out.darts)
     before = serialize_gmap(out)
-    with pytest.raises(MatchError):
+    with pytest.raises(MatchError) as exc:
         apply_rule(inst, out, match, [MIDPOINT])
+    assert str(exc.value) == "match was completed on another map"
     assert serialize_gmap(out) == before and out._known_valid
 
 
@@ -315,15 +321,17 @@ def random_match_triple(rng: random.Random):
 
 def _outcome(extend, pattern, host, seed):
     try:
-        return list(extend(pattern, host, seed).mapping.items())
+        match = extend(pattern, host, seed)
     except Exception as exc:  # the class and message are the outcome
         return (type(exc), str(exc))
+    return list(match.mapping.items()), match.links
 
 
 @settings(max_examples=500, deadline=None, database=None)
 @given(st.integers(0, 2**32))
 def test_extend_match_agrees_with_the_reference_queue(seed_value):
-    # same mapping in the same key order, or the same error and message
+    # same mapping in the same key order and the same host link per
+    # pattern link, or the same error and message
     pattern, host, seed = random_match_triple(random.Random(seed_value))
     assert _outcome(extend_match, pattern, host, seed) == _outcome(
         reference_extend_match, pattern, host, seed

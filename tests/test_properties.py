@@ -1,10 +1,10 @@
 """Property tests: no text reaches a traceback, serialize∘parse is the
 identity on random valid maps with string and point layers, a scheme's
 instance is its set definition, a rewrite is its set definition and
-either gives a valid map or raises, leaving its host as it was, a chain of rewrites leaves every
-earlier map as it was, and a rewrite of a known-valid host (checked
-locally) ends as the same rewrite of an unmarked copy (checked in
-full)."""
+either gives a valid map or raises, leaving its host as it was, a chain
+of rewrites leaves every earlier map as it was, and a rewrite of a
+known-valid host (checked locally) ends as the same rewrite of an
+unmarked copy (checked in full)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,10 +223,11 @@ def pendant_rules(draw, n):
     )
 
 
-def _outcome(rule, host, anchor, directives):
-    """What rewriting ``host`` gives: the result, or the error and its report."""
+def _outcome(rewrite, rule, host, match, directives):
+    """What ``rewrite`` makes of ``host``: the result and its text, or
+    ``None`` and the error class with its report or message."""
     try:
-        out = apply_rule(instantiate_rule(rule, host, anchor), host, directives=directives)
+        out = rewrite(rule, host, match, directives)
     except PostValidationError as exc:
         return None, (PostValidationError, exc.report.lines())
     except GmapError as exc:
@@ -256,8 +257,8 @@ def test_local_post_validation_agrees_with_full_validation(seed, n, data):
         directives = [parse_directive(f"tag:{c}={data.draw(st.sampled_from(kinds))}") for c in created]
         plain = parse_gmap(serialize_gmap(host))
         assert not plain._known_valid
-        out, said = _outcome(rule, host, anchor, directives)
-        plain_out, plain_said = _outcome(rule, plain, anchor, directives)
+        out, said = _outcome(apply_rule, inst, host, None, directives)
+        plain_out, plain_said = _outcome(apply_rule, inst, plain, None, directives)
         assert said == plain_said
         if out is not None:
             assert out == plain_out
@@ -268,17 +269,6 @@ def test_local_post_validation_agrees_with_full_validation(seed, n, data):
 DUAL = parse_rule_scheme(
     "rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <2,1,0> } }"
 )
-
-
-def _said(rewrite, host, inst, match, directives):
-    """A rewrite's text, or its error class with the report or message."""
-    try:
-        out = rewrite(inst, host, match, directives)
-    except PostValidationError as exc:
-        return None, (PostValidationError, exc.report.lines())
-    except GmapError as exc:
-        return None, (type(exc), str(exc))
-    return out, serialize_gmap(out)
 
 
 @st.composite
@@ -320,8 +310,8 @@ def test_apply_rule_is_the_set_definition(seed, n, data):
             kind = st.sampled_from(kinds)
             directives = [parse_directive(f"tag:{c}={data.draw(kind)}") for c in created]
         before = serialize_gmap(host)
-        out, said = _said(apply_rule, host, inst, match, directives)
-        assert said == _said(oracle_apply, host, inst, match, directives)[1]
+        out, said = _outcome(apply_rule, inst, host, match, directives)
+        assert said == _outcome(oracle_apply, inst, host, match, directives)[1]
         assert serialize_gmap(host) == before
         if out is not None and anchor in out.graph:
             host = out if data.draw(st.booleans()) else parse_gmap(said)
