@@ -269,16 +269,16 @@ def apply_rule(
     """Rewrite ``gmap`` by ``rule`` at ``match`` and return the new map,
     as defined on sets in the module docstring.
 
-    The host links it removes are the ones ``match`` kept, so a match
-    completed on another map, with a link ``gmap`` lacks, raises
-    :class:`MatchError`.  Raises :class:`DanglingDartError` when a
-    deleted dart still has links outside the match image,
-    :class:`MissingDirectiveError` when a created dart lacks a value for
-    some layer, and :class:`PostValidationError` (carrying the full
-    report) when the result violates the generalized-map constraints.
-    When ``gmap`` is itself a result of this function, only the darts
-    near the rewrite are checked, which finds the same violations.
-    Returned maps are marked as such; the host is never changed.
+    The host links it removes are the ones ``match`` kept; a match that
+    disagrees with the links of ``gmap`` raises :class:`MatchError`.
+    Raises :class:`DanglingDartError` when a deleted dart still has links
+    outside the match image, :class:`MissingDirectiveError` when a
+    created dart lacks a value for some layer, and
+    :class:`PostValidationError` (carrying the full report) when the
+    result violates the generalized-map constraints.  When ``gmap`` is
+    itself a result of this function, only the darts near the rewrite
+    are checked, which finds the same violations.  Returned maps are
+    marked as such; the host is never changed.
     """
     if match is None:
         match = complete_match(rule, gmap)
@@ -290,9 +290,10 @@ def apply_rule(
 
     table = _directive_table(directives, rule, gmap.embeddings)
 
-    host_links = gmap.graph._links
-    if any(host_links.get(link.id) != link for link in match.links.values()):
-        raise MatchError("match was completed on another map")
+    for link in rule.left.links:
+        h, a = match.links[link.id], match[link.ends[0]]
+        if set(h.ends) != {match[x] for x in link.ends} or gmap.graph.incident_links(a, link.dim) != (h,):
+            raise MatchError("match does not agree with the host's links")
     matched_ids = {link.id for link in match.links.values()}
 
     deleted_darts = {match[x] for x in rule.left_only}

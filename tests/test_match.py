@@ -165,8 +165,22 @@ def test_a_match_on_another_map_is_refused(vi_rule, square_gmap):
     before = serialize_gmap(out)
     with pytest.raises(MatchError) as exc:
         apply_rule(inst, out, match, [MIDPOINT])
-    assert str(exc.value) == "match was completed on another map"
+    assert str(exc.value) == "match does not agree with the host's links"
     assert serialize_gmap(out) == before and out._known_valid
+
+
+def test_a_match_whose_mapping_contradicts_its_links_is_refused(vi_rule, square_gmap):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    match = complete_match(inst, square_gmap)
+    # swapped images still cover the left side injectively, but each
+    # recorded 2-loop now sits at the other image
+    x, y = sorted(match.mapping)
+    swapped = replace(match, mapping={x: match[y], y: match[x]})
+    before = serialize_gmap(square_gmap)
+    with pytest.raises(MatchError) as exc:
+        apply_rule(inst, square_gmap, swapped, [MIDPOINT])
+    assert str(exc.value) == "match does not agree with the host's links"
+    assert serialize_gmap(square_gmap) == before
 
 
 def test_match_via_rule_seed(vi_rule, square_gmap):

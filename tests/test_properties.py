@@ -258,7 +258,12 @@ def test_local_post_validation_agrees_with_full_validation(seed, n, data):
         plain = parse_gmap(serialize_gmap(host))
         assert not plain._known_valid
         out, said = _outcome(apply_rule, inst, host, None, directives)
-        plain_out, plain_said = _outcome(apply_rule, inst, plain, None, directives)
+        try:  # instantiated again: the re-parsed map numbers its links anew
+            plain_inst = instantiate_rule(rule, plain, anchor)
+        except GmapError as exc:
+            plain_out, plain_said = None, (type(exc), str(exc))
+        else:
+            plain_out, plain_said = _outcome(apply_rule, plain_inst, plain, None, directives)
         assert said == plain_said
         if out is not None:
             assert out == plain_out
