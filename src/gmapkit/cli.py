@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import GmapError, ParseError, PostValidationError
+from .errors import DimensionError, GmapError, ParseError, PostValidationError
 from .mesh import unify
 from .orbits import OrbitType
 from .gmap import Gmap
@@ -81,7 +81,10 @@ def cmd_validate(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = _load_gmap(args.file)
-    print(" ".join(g.orbit_darts(_parse_dims(args.type), args.dart)))
+    o = _parse_dims(args.type)
+    if o.dims and o.dims[-1] > g.n:
+        raise DimensionError(f"orbit dimension {o.dims[-1]} out of range 0..{g.n}")
+    print(" ".join(g.orbit_darts(o, args.dart)))
     return 0
 
 

@@ -4,8 +4,13 @@ A generalized map of dimension n is a labeled graph over darts where
 every dart has exactly one incident i-link for each i in 0..n (the
 incidence constraint) and every path alternating two dimensions at
 distance >= 2 closes into a cycle (the cycle constraint).  Validation
-is exhaustive and returns data, not exceptions: invalid maps are a
-normal intermediate state during rewriting.
+returns data, not exceptions: invalid maps are a normal intermediate
+state during rewriting.
+
+Validation reads the links once into α arrays and tests the cycle
+constraint on them; only the darts that fail that test go through the
+exhaustive enumeration of link 4-tuples, which names the open chains
+(``Gmap._report``).
 
 Geometric data lives in embedding layers: a layer assigns one value per
 dart, and all darts of one orbit of the layer's domain type must agree.
@@ -14,6 +19,7 @@ dart, and all darts of one orbit of the layer's domain type must agree.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -31,6 +37,9 @@ POINT_TOLERANCE = 1e-9
 
 #: Links from a rewrite's darts to the pivot of a cycle it broke (Gmap._validate_rewritten).
 _PIVOT_RADIUS = 2
+
+#: Links from a dart to the farthest dart whose α entries its α test reads (Gmap._report).
+_TEST_RADIUS = 2
 
 #: value type name -> (element python type, arity); "string" is special-cased.
 _NUMERIC_TYPES = {
@@ -321,12 +330,9 @@ class Gmap:
 
     def orbit_partition(self, o: OrbitType) -> list[tuple[str, ...]]:
         """All orbits of type ``o``, each a sorted dart tuple."""
-        return self._orbits(o, self.darts)
-
-    def _orbits(self, o: OrbitType, darts: Iterable[str]) -> list[tuple[str, ...]]:
         seen: set[str] = set()
         out: list[tuple[str, ...]] = []
-        for d in sorted(darts):
+        for d in sorted(self.darts):
             if d in seen:
                 continue
             members = self.orbit_darts(o, d)
@@ -336,25 +342,92 @@ class Gmap:
 
     # -- validation --------------------------------------------------------
 
-    def _incidence_violations(self, darts: set[str] | None = None) -> list[IncidenceViolation]:
-        out = []
-        for d in self.darts if darts is None else darts:
-            for i in range(self.n + 1):
-                found = len(self.graph.incident_links(d, i))
-                if found != 1:
-                    out.append(IncidenceViolation(d, i, found))
-        return out
+    def validate(self) -> ValidationReport:
+        """Full scan for incidence, cycle, and embedding violations."""
+        return self._report()
 
-    def _cycle_violations(self, pivots: set[str] | None = None) -> list[CycleViolation]:
+    def _report(
+        self,
+        darts: set[str] | None = None,
+        pivots: set[str] | None = None,
+        scope: set[str] | None = None,
+    ) -> ValidationReport:
+        """The validation kernel: incidence and embeddings at ``darts``, cycles
+        pivoted at ``pivots``, from the links of the darts of ``scope``; each
+        is every dart when ``None``.
+
+        One pass over ``scope`` fills the α arrays: a dart with one i-link
+        for each i in 0..n writes its entry in each, any other dart writes
+        none and is an incidence violation.  So ``alpha[i][d]`` exists
+        exactly when ``d`` is such a dart of ``scope``, and is then exact.
+
+        A pivot fails the α test when α_j α_i α_j(d) != α_i(d) for some
+        j >= i+2, a missing entry included.  Every pivot ``d`` of a violated
+        i,j,i,j tuple fails it.  Let ``x`` and ``y`` be the darts the tuple
+        pivots on at its next two junctions.  If ``d``, ``x`` and ``y`` have
+        entries, then ``x`` = α_j(d) and ``y`` = α_i(x), as otherwise the
+        third link is the first or the fourth is the second and the tuple
+        closes; so the fourth link's ends are ``y`` and α_j(y), and neither is
+        ``d`` or α_i(d).  If one of them has none, the test reads it.  A
+        failing pivot need not start a violated tuple (a fixed point of α_j
+        can fail alone), so these suspects go through
+        :meth:`_cycle_violations`, which names each violated tuple's chain.
+
+        Embedding orbits are walked on the α arrays of their domain.  An
+        orbit that reaches a dart without entries is read from
+        :meth:`orbit_darts`.
+        """
+        adj = self.graph._adj
+        n1 = self.n + 1
+        # made at the first dart with n + 1 links, so it never outgrows them
+        alpha: list[dict[str, str]] = []
+        invalid = []
+        for u, links in adj.items() if scope is None else ((u, adj[u]) for u in scope):
+            if len(links) == n1:
+                if not alpha:
+                    alpha = [{} for _ in links]
+                i = 0
+                for l in links:
+                    if l.dim != i:  # links are sorted by dim: one is repeated
+                        break
+                    e = l.ends
+                    alpha[i][u] = e[0] if e[-1] == u else e[-1]
+                    i += 1
+                else:
+                    continue
+                for a in alpha:
+                    a.pop(u, None)
+            invalid.append(u)
+
+        violations: list[Violation] = []
+        for u in invalid:
+            if darts is None or u in darts:
+                found = Counter(l.dim for l in adj[u])
+                violations.extend(IncidenceViolation(u, i, found[i]) for i in range(n1) if found[i] != 1)
+
+        pivots = adj.keys() if pivots is None else pivots
+        suspects = set(pivots) if not alpha else set()  # no α arrays: test nothing
+        for i, ai in enumerate(alpha):
+            for aj in alpha[i + 2 :]:
+                suspects |= {
+                    d for d in pivots if (e := ai.get(d)) is None or aj.get(ai.get(aj[d])) != e
+                }
+        violations.extend(self._cycle_violations(suspects))
+
+        for layer in self.embeddings.values():
+            violations.extend(self._embedding_violations(layer, adj.keys() if darts is None else darts, alpha))
+        return ValidationReport(tuple(violations))
+
+    def _cycle_violations(self, pivots: Iterable[str]) -> list[CycleViolation]:
         # Enumerates exactly the link 4-tuples (l0,l1,l2,l3) labeled
         # i,j,i,j (j >= i+2) whose consecutive end sets intersect, by
         # pivoting on a shared dart at each junction; flags tuples whose
         # outer end sets are disjoint.  The pairs (i, j) come from each
         # pivot's own links, so the declared dimension costs nothing.
-        # Near-linear on valid maps, still exhaustive on broken ones.
+        # Exhaustive at each pivot, whatever its links.
         found: dict[tuple, CycleViolation] = {}
         g = self.graph
-        for x1 in g.nodes if pivots is None else pivots:
+        for x1 in pivots:
             links = g.incident_links(x1)
             for l0 in links:
                 i = l0.dim
@@ -376,48 +449,72 @@ class Gmap:
         return list(found.values())
 
     def _embedding_violations(
-        self, layer: EmbeddingLayer, darts: set[str] | None = None
+        self, layer: EmbeddingLayer, darts: Iterable[str], alpha: list[dict[str, str]]
     ) -> list[EmbeddingViolation]:
+        """The layer's violations on the orbits of ``darts``, walked on the α
+        arrays of :meth:`_report`."""
+        domain = layer.domain
+        arrays = [alpha[k] for k in domain] if alpha else [{} for _ in domain]
+        values, kind = layer.values, layer.value_type
         out = []
-        for orbit in self._orbits(layer.domain, self.darts if darts is None else darts):
-            rep = orbit[0]
-            bad = tuple(
-                d
-                for d in orbit[1:]
-                if not values_equal(layer.value_type, layer.values[d], layer.values[rep])
-            )
+        seen: set[str] = set()
+        for d in darts:
+            if d in seen:
+                continue
+            orbit = tuple(sorted(self._alpha_orbit(arrays, domain, d)))
+            seen.update(orbit)
+            found = [values[x] for x in orbit]
+            rep = found[0]
+            if found.count(rep) == len(found):  # all equal: the usual case, in C
+                continue
+            bad = tuple(x for x in orbit[1:] if not values_equal(kind, values[x], rep))
             if bad:
                 out.append(EmbeddingViolation(layer.name, orbit, bad))
         return out
 
-    def validate(self) -> ValidationReport:
-        """Full scan for incidence, cycle, and embedding violations."""
-        return self._report()
-
-    def _report(self, darts: set[str] | None = None, pivots: set[str] | None = None) -> ValidationReport:
-        violations: list[Violation] = []
-        violations.extend(self._incidence_violations(darts))
-        violations.extend(self._cycle_violations(pivots))
-        for layer in self.embeddings.values():
-            violations.extend(self._embedding_violations(layer, darts))
-        return ValidationReport(tuple(violations))
+    def _alpha_orbit(self, arrays: list[dict[str, str]], domain: OrbitType, d: str) -> Iterable[str]:
+        """The darts of the ``domain``-orbit of ``d``, walked on ``arrays``,
+        its dimensions' α arrays; from :meth:`orbit_darts` if the walk
+        reaches a dart without entries."""
+        members = [d]
+        seen = {d}
+        for u in members:  # grows while read: the walk's queue
+            for a in arrays:
+                v = a.get(u)
+                if v is None:
+                    return self.orbit_darts(domain, d)
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+        return members
 
     def _validate_rewritten(self, touched: set[str]) -> ValidationReport:
         """:meth:`validate` of a map made from a valid map by a rewrite that
-        changed links only at the darts ``touched``.
+        changed links only at the darts ``touched``, by :meth:`_report` on the
+        darts near them.
 
         Other darts keep one link per dimension, and orbits without a
         touched dart keep their values: incidence and embeddings are
         checked at ``touched``.  As old i,j,i,j paths closed, a violated
         one has a new link; its pivot (the dart its first two links share)
         is 0, 1 or 2 links from the ends of the first new link on it, as
-        that is its first or second, third, or fourth link.  The region
-        walk stops at the whole map, which gets the full scan.
+        that is its first or second, third, or fourth link.  The α test of
+        a pivot reads entries up to 2 links from it, so the α arrays are
+        filled that far past the pivots.  A pivot region that reaches the
+        whole map gets the full scan.
         """
-        region = set(touched)
-        for _ in range(_PIVOT_RADIUS):
-            if len(region) < len(self.graph):
-                region |= {v for u in region for link in self.graph.incident_links(u) for v in link.ends}
-        if len(region) == len(self.graph):
+        pivots = self._ball(touched, _PIVOT_RADIUS)
+        if len(pivots) == len(self.graph):
             return self.validate()
-        return self._report(touched, region)
+        return self._report(touched, pivots, self._ball(pivots, _TEST_RADIUS))
+
+    def _ball(self, darts: set[str], radius: int) -> set[str]:
+        """The darts at most ``radius`` links from ``darts``."""
+        adj = self.graph._adj
+        ball, frontier = set(darts), darts
+        for _ in range(radius):
+            if len(ball) == len(adj):
+                break
+            frontier = {v for u in frontier for link in adj[u] for v in link.ends} - ball
+            ball |= frontier
+        return ball

@@ -77,6 +77,13 @@ def test_orbits_prints_reachable_darts(workdir, capsys):
     assert darts[0] == "v0e0-1f0"
 
 
+def test_orbits_with_a_dimension_past_the_map_is_a_domain_error(workdir, capsys):
+    assert main(["orbits", "square.gmap", "--type", "0,9", "--dart", "v0e0-1f0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "E_DOMAIN orbit dimension 9 out of range 0..2\n"
+
+
 def test_unify_writes_canonical_document(workdir, capsys):
     assert main(["unify", "square.off", "-o", "out.gmap"]) == 0
     assert (workdir / "out.gmap").read_text() == fixture_text("square.gmap")

@@ -82,6 +82,37 @@ def test_validate_time_does_not_follow_the_declared_dimension():
     assert Gmap(LabeledGraph(10**6)).validate().ok
 
 
+def test_a_failed_alpha_test_is_not_a_violation_by_itself():
+    # every dart has one link per dimension, and a_2 a_0 a_2 (d) != a_0 (d)
+    # at a, b and c; but the chains pivoted at a and b close, since a_2
+    # fixes a and a_0 fixes c, so only the chain pivoted at c is open
+    g = Gmap.build(
+        2,
+        "abc",
+        [(0, ("a", "b")), (1, ("a",)), (2, ("a",)), (1, ("b",)), (2, ("b", "c")), (0, ("c",)), (1, ("c",))],
+    )
+    assert all(g.alpha(g.alpha(g.alpha(d, 2), 0), 2) != g.alpha(d, 0) for d in "abc")
+    assert g.validate().lines() == ["E_CYCLE i=0 j=2 path: c-0-c . b-2-c . a-0-b . a-2-a"]
+
+
+def test_a_doubled_link_opens_chains_pivoted_at_valid_darts():
+    # a-2-b-0-c-2-d-0-a closes; a second 2-link at c, a loop, is the last
+    # link of two open chains, pivoted at a and at d: both darts have one
+    # link per dimension, and the chains' first two links meet only there
+    g = Gmap.build(
+        2,
+        "abcd",
+        [(0, ("a", "d")), (0, ("b", "c")), (2, ("a", "b")), (2, ("c", "d"))]
+        + [(1, (d,)) for d in "abcd"]
+        + [(2, ("c",))],
+    )
+    assert g.validate().lines() == [
+        "E_CYCLE i=0 j=2 path: a-0-d . a-2-b . b-0-c . c-2-c",
+        "E_CYCLE i=0 j=2 path: a-0-d . c-2-d . b-0-c . c-2-c",
+        "E_INCIDENCE dart=c dim=2 found=2",
+    ]
+
+
 # -- alpha ---------------------------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gmapkit import Gmap, OrbitType, parse_gmap
+from gmapkit import EmbeddingLayer, Gmap, OrbitType, parse_gmap
 
 from conftest import fixture_text
 from oracle import (
@@ -56,6 +57,43 @@ def test_reports_agree_on_random_broken_multigraphs(seed):
     g = Gmap.build(n, darts, links)
     result = check_validate_agreement(g, f"soup{seed}")
     assert result.passed, result.witness
+
+
+@st.composite
+def planted_defects(draw):
+    """A valid map with 1-3 planted defects, placed anywhere, so next to
+    each other too: a removed link, a dart's second link of a dimension
+    (to any dart: itself, its neighbour in that dimension or another), or
+    a link with one end moved to another dart.  Half carry a ``tag`` layer
+    that was valid before the defects."""
+    n = draw(st.integers(1, 3))
+    g = random_valid_gmap(draw(st.integers(0, 10_000)), n=n, max_darts=16)
+    layers = []
+    if draw(st.booleans()):
+        domain = OrbitType(tuple(sorted(draw(st.sets(st.integers(0, n))))))
+        values = {}
+        for orbit in g.orbit_partition(domain):
+            tag = draw(st.sampled_from([0.0, 1.0]))
+            values.update((d, tag) for d in orbit)
+        layers.append(EmbeddingLayer("tag", domain, "scalar", values))
+    darts = sorted(g.darts)
+    links = [(l.dim, l.ends) for l in g.graph.links]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["removed", "doubled", "rewired"]))
+        if kind == "doubled" or not links:
+            d = draw(st.sampled_from(darts))
+            links.append((draw(st.integers(0, n)), (d, draw(st.sampled_from(darts)))))
+            continue
+        dim, ends = links.pop(draw(st.integers(0, len(links) - 1)))
+        if kind == "rewired":
+            links.append((dim, (draw(st.sampled_from(ends)), draw(st.sampled_from(darts)))))
+    return Gmap.build(n, darts, links, layers)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(planted_defects())
+def test_reports_agree_on_valid_maps_with_planted_defects(g):
+    assert g.validate().lines() == oracle_validate(g).lines()
 
 
 @pytest.mark.parametrize("seed", range(40))
