@@ -14,13 +14,21 @@ exhaustive enumeration of link 4-tuples, which names the open chains
 
 Geometric data lives in embedding layers: a layer assigns one value per
 dart, and all darts of one orbit of the layer's domain type must agree.
+A full scan compares the values across every domain link with exact
+``!=`` and walks only the orbits of darts at an unequal link or without
+α entries: exact, as equality within a tolerance is not transitive.  The
+local check after a rewrite walks the orbits of its touched darts whole,
+as a new link can join orbits whose values drifted apart.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import ne
 from typing import Any, Iterable
 
 from .errors import (
@@ -86,6 +94,25 @@ def normalize_value(value_type: str, value: Any) -> Any:
     return tuple(out)
 
 
+def _canonical(value_type: str, values: Iterable[Any]) -> bool:
+    """Whether every value is already what :func:`normalize_value` returns
+    for it: an exact ``str``, ``float`` or tuple of the type's arity of
+    exact ``float`` (``int`` for colors), every float finite.  Checked in
+    bulk; ``False`` sends the values through :func:`normalize_value`."""
+    if value_type == "string":
+        return set(map(type, values)) <= {str}
+    elem, arity = _NUMERIC_TYPES[value_type]
+    if value_type == "scalar":
+        comps = values
+    elif set(map(type, values)) <= {tuple} and set(map(len, values)) <= {arity}:
+        comps = list(chain.from_iterable(values))
+    else:
+        return False
+    if elem is int:
+        return set(map(type, comps)) <= {int}
+    return set(map(type, comps)) <= {float} and all(map(math.isfinite, comps))
+
+
 def values_equal(value_type: str, a: Any, b: Any) -> bool:
     """Equality used by the embedding condition: exact for colors and
     strings, within ``POINT_TOLERANCE`` componentwise for points and scalars."""
@@ -111,9 +138,13 @@ class EmbeddingLayer:
     values: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value_type not in VALUE_TYPES:
-            raise EmbeddingError(f"unknown embedding value type {self.value_type!r}")
-        self.values = {d: normalize_value(self.value_type, v) for d, v in self.values.items()}
+        kind, values = self.value_type, self.values
+        if kind not in VALUE_TYPES:
+            raise EmbeddingError(f"unknown embedding value type {kind!r}")
+        if _canonical(kind, values.values()):
+            self.values = dict(values)
+        else:  # finds, and raises, the first bad value
+            self.values = {d: normalize_value(kind, v) for d, v in values.items()}
 
     def copy(self) -> "EmbeddingLayer":
         """A copy with its own ``values`` dict, not normalized again."""
@@ -373,9 +404,12 @@ class Gmap:
         can fail alone), so these suspects go through
         :meth:`_cycle_violations`, which names each violated tuple's chain.
 
-        Embedding orbits are walked on the α arrays of their domain.  An
-        orbit that reaches a dart without entries is read from
-        :meth:`orbit_darts`.
+        Embeddings are checked on the orbits of ``darts``.  A full scan
+        compares the values across every domain link with exact ``!=``
+        first and walks only the orbits of the darts that screen returns
+        (:meth:`_embedding_screen`).  A local check walks the orbits of
+        ``darts`` whole: a new link can join orbits whose values have
+        drifted apart while every link at ``darts`` joins equal values.
         """
         adj = self.graph._adj
         n1 = self.n + 1
@@ -415,7 +449,8 @@ class Gmap:
         violations.extend(self._cycle_violations(suspects))
 
         for layer in self.embeddings.values():
-            violations.extend(self._embedding_violations(layer, adj.keys() if darts is None else darts, alpha))
+            starts = self._embedding_screen(layer, alpha, invalid) if darts is None else darts
+            violations.extend(self._embedding_violations(layer, starts, alpha))
         return ValidationReport(tuple(violations))
 
     def _cycle_violations(self, pivots: Iterable[str]) -> list[CycleViolation]:
@@ -448,11 +483,37 @@ class Gmap:
                                         found[key] = CycleViolation(i, j, key[2:], chain)
         return list(found.values())
 
+    def _embedding_screen(
+        self, layer: EmbeddingLayer, alpha: list[dict[str, str]], invalid: list[str]
+    ) -> set[str]:
+        """A dart of every orbit of the layer's domain that may violate it:
+        the darts ``invalid``, which have no α entries, and each dart whose
+        value is not exactly equal (``!=``) to that across one of its
+        domain links, from the α arrays of a full :meth:`_report`.
+
+        An orbit without such a dart is walked by its darts' entries, and
+        all its links join equal values, so it holds one value.  Equality
+        within the tolerance would not do: it is not transitive, and an
+        orbit whose links all agree within it can hold values farther
+        apart.
+        """
+        get = layer.values.__getitem__
+        starts = set(invalid)
+        for k in layer.domain if alpha else ():
+            ak = alpha[k]
+            starts.update(compress(ak, map(ne, map(get, ak), map(get, ak.values()))))
+        return starts
+
     def _embedding_violations(
         self, layer: EmbeddingLayer, darts: Iterable[str], alpha: list[dict[str, str]]
     ) -> list[EmbeddingViolation]:
         """The layer's violations on the orbits of ``darts``, walked on the α
-        arrays of :meth:`_report`."""
+        arrays of :meth:`_report`; an orbit that reaches a dart without
+        entries is read from :meth:`orbit_darts`.  An orbit violates the
+        layer when a value differs from its first dart's by more than the
+        tolerance of :func:`values_equal`.  ``darts`` are those of the
+        exact screen on a full scan, and the touched darts, whose orbits
+        may have drifted, on a local one."""
         domain = layer.domain
         arrays = [alpha[k] for k in domain] if alpha else [{} for _ in domain]
         values, kind = layer.values, layer.value_type

@@ -280,3 +280,90 @@ def test_tolerant_point_comparison(square_gmap):
     x, y, z = layer.values[victim]
     layer.values[victim] = (x + 1e-12, y, z)  # below tolerance
     assert g.validate().ok
+
+
+def test_drift_across_a_new_link_is_reported_by_the_local_check():
+    # a valid host's orbit w(-1e-9) -0- a(0) -1- y(1e-9) -0- z(1e-9), joined
+    # by z -1- C(1e-9): each link at z and C joins equal values, yet C and w
+    # are 2e-9 apart
+    values = {"w": -1e-9, "a": 0.0, "y": 1e-9, "z": 1e-9, "C": 1e-9}
+    g = Gmap.build(
+        1,
+        values,
+        [(0, {"w", "a"}), (1, {"a", "y"}), (0, {"y", "z"}), (1, {"z", "C"}), (0, {"C"}), (1, {"w"})],
+        [EmbeddingLayer("h", OrbitType((0, 1)), "scalar", values)],
+    )
+    want = ["E_EMBED layer=h orbit={C,a,w,y,z} darts=w"]
+    assert g._validate_rewritten({"z", "C"}).lines() == want
+    assert g.validate().lines() == want
+
+
+# -- layer values: the bulk check agrees with per-value normalization ---------
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_INF, _NAN = float("inf"), float("nan")
+_ODD_VALUES = {
+    "scalar": [0.5, -0.0, 1, True, _Float(0.5), _INF, -_INF, _NAN, 10**400, "1", (0.5,), None],
+    "point2d": [
+        (0.5, 1.0), (0, 1.5), (True, 1.0), (_Float(0.5), 1.0), (_INF, 0.0), (_NAN, 0.0),
+        (10**400, 0.0), (0.5,), (0.5, 1.0, 2.0), [0.5, 1.0], "ab", None,
+    ],
+    "point3d": [
+        (0.5, 1.0, 2.0), (0, 1.5, 2), (0.0, False, 0.0), (0.0, 0.0, _Float(2.0)),
+        (0.0, -_INF, 0.0), (_NAN, 0.0, 0.0), (0.0, 0.0, 10**400), (0.5, 1.0), [0.0, 1.0, 2.0],
+        (0.0, "1", 2.0), 1.0,
+    ],
+    "color_rgb": [
+        (1, 2, 3), (1.0, 2, 3), (True, 0, 0), (_Int(1), 2, 3), (10**400, 0, 0), (-1, 0, 0),
+        (1, 2), [1, 2, 3], (1, 2, _INF),
+    ],
+    "string": ["x", "", _Str("x"), 1, None, b"x", ("x",)],
+}
+_LAYER_INPUTS = [
+    pytest.param(kind, values, id=f"{kind}-{i}")
+    for kind, odd in _ODD_VALUES.items()
+    for i, values in enumerate(
+        [{}, {"a": odd[0], "b": odd[0]}, {"a": odd[-1], "b": odd[-2]}]
+        + [{"a": odd[0], "b": v} for v in odd[1:]]
+    )
+]
+
+
+def _typed(build, kind, values):
+    """What ``build`` makes of ``values``: each value with its exact type
+    and those of its components, or the error's class and message."""
+    try:
+        out = build(kind, values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {d: (v, type(v), [type(c) for c in v] if type(v) is tuple else None) for d, v in out.items()}
+
+
+@pytest.mark.parametrize("kind,values", _LAYER_INPUTS)
+def test_layer_values_are_normalized_as_one_by_one(kind, values):
+    from gmapkit.gmap import normalize_value
+
+    got = _typed(lambda k, vs: EmbeddingLayer("L", OrbitType(()), k, vs).values, kind, values)
+    want = _typed(lambda k, vs: {d: normalize_value(k, v) for d, v in vs.items()}, kind, values)
+    assert got == want
+
+
+@pytest.mark.parametrize("given,kept", [(0.5, 0.5), (1, 1.0)], ids=["canonical", "converted"])
+def test_layer_owns_its_values(given, kept):
+    values = {"a": given}
+    layer = EmbeddingLayer("L", OrbitType(()), "scalar", values)
+    values["a"] = 2.5
+    values["b"] = 3.5
+    assert layer.values == {"a": kept}

@@ -136,3 +136,15 @@ def test_oracle_orbit_on_fixture():
     d = sorted(g.darts)[0]
     assert oracle_orbit(g, OrbitType((0, 1)), d) == frozenset(g.darts)
     assert oracle_orbit(g, OrbitType(()), d) == {d}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_reports_agree_when_agreement_within_tolerance_does_not_chain(seed, n, data):
+    # 0 and 1.2e-9 each agree with 0.6e-9 within the tolerance, not with
+    # each other: an orbit can violate its layer with every link in agreement
+    g = random_valid_gmap(seed, n=n, max_darts=16)
+    domain = OrbitType(tuple(sorted(data.draw(st.sets(st.integers(0, n))))))
+    values = {d: data.draw(st.sampled_from([0.0, 0.6e-9, 1.2e-9])) for d in sorted(g.darts)}
+    g = Gmap(g.graph, [EmbeddingLayer("tag", domain, "scalar", values)])
+    assert g.validate().lines() == oracle_validate(g).lines()
