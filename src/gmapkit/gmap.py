@@ -346,8 +346,16 @@ class Gmap:
         """
         order = self.orbit_darts(o, dart)
         dims = set(o)
-        links = {l.id: l for u in order for l in self.graph.incident_links(u) if l.dim in dims}
-        return LabeledGraph.build(self.n, order, ((l.dim, l.ends) for l in links.values()))
+
+        def links():  # each at the first of its ends in the order
+            seen: set[str] = set()
+            for u in order:
+                for l in self.graph.incident_links(u):
+                    if l.dim in dims and seen.isdisjoint(l.ends):
+                        yield l.dim, l.ends
+                seen.add(u)
+
+        return LabeledGraph.build(self.n, order, links())
 
     def cell_type(self, i: int) -> OrbitType:
         """Orbit type of i-cells: all dimensions of 0..n except ``i``."""

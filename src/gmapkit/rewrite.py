@@ -4,21 +4,24 @@ A match of an instantiated rule is an injective, dimension- and
 incidence-preserving map of the left side into a host map.  Because
 every host dart has a unique i-link per dimension, one seed pair per
 connected component of the left side determines the whole match; the
-completion is a joint traversal of the pattern and the host, and it
-keeps the host link each left link lands on.
+completion is a joint traversal of the pattern and the host, which reads
+each host dart's link tuple once and keeps the host link each left link
+lands on.
 
 Application is defined on sets.  With ``m`` the match and ``M`` the host
 links it keeps, the result has the darts ``(D \\ m(L_only)) ∪ C``, where
 ``C`` names each created dart ``q``, or ``q#k`` on a clash; the links
 ``(E_host \\ M) ⊎ r(E_R)``, where ``r`` routes preserved names through
 ``m`` and created names to ``C``; the host values of kept darts; and
-directive values for created darts.  It edits a copy of the host and
-never changes the host.  The copy's graph shares each dart's link tuple
-with the host (:meth:`LabeledGraph.copy`), and only the darts a rewrite
-touches get new tuples.  The result is then validated: instantiation
-alone does not guarantee it is a generalized map, so the check is
-mandatory.  Its result is marked known-valid, and on such a host the
-check covers only the darts near the rewrite
+directive values for created darts; a directive whose value does not
+depend on the orbit dart is computed once per layer and node.  The
+links and darts change in one :meth:`LabeledGraph._edit` of a copy of
+the host, which never changes the host: the copy's graph shares each
+dart's link tuple with the host (:meth:`LabeledGraph.copy`), and the
+edit builds one new tuple per dart it touches.  The result is then
+validated: instantiation alone does not guarantee it is a generalized
+map, so the check is mandatory.  Its result is marked known-valid, and
+on such a host the check covers only the darts near the rewrite
 (``Gmap._validate_rewritten``), with the same report; any other host is
 validated in full.
 """
@@ -91,8 +94,12 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
     links: dict[str, Link] = {}
     for x in order:
         a = mapping[x]
+        at = gmap.graph.incident_links(a)
+        one = {h.dim: h for h in at}
+        if len(one) < len(at):
+            one = {}  # a dim repeats at a: _forced tells the dims apart
         for link in pattern.incident_links(x):
-            host = links[link.id] = _forced(gmap, a, link.dim)
+            host = links[link.id] = one.get(link.dim) or _forced(gmap, a, link.dim)
             b = host.other_end(a)
             if link.is_loop:
                 if b != a:
@@ -290,9 +297,13 @@ def apply_rule(
 
     table = _directive_table(directives, rule, gmap.embeddings)
 
+    mapping = match.mapping
     for link in rule.left.links:
-        h, a = match.links[link.id], match[link.ends[0]]
-        if set(h.ends) != {match[x] for x in link.ends} or gmap.graph.incident_links(a, link.dim) != (h,):
+        # h joins the images of the link's ends, two distinct ones for a
+        # non-loop since the match is injective
+        h, a, b = match.links[link.id], mapping[link.ends[0]], mapping[link.ends[-1]]
+        ends = (a,) if a == b else (a, b) if a < b else (b, a)
+        if h.ends != ends or gmap.graph.incident_links(a, link.dim) != (h,):
             raise MatchError("match does not agree with the host's links")
     matched_ids = {link.id for link in match.links.values()}
 
@@ -306,33 +317,33 @@ def apply_rule(
                     f"{'-'.join(host_link.ends)} of dimension {host_link.dim}"
                 )
 
-    result = gmap.copy()
-    graph = result.graph
-    for link_id in sorted(matched_ids):
-        graph._remove_link(link_id)
-    for a in sorted(deleted_darts):
-        graph._remove_node(a)
-
     # resolve right-side names: preserved through the match, created fresh
+    # among the darts that stay
+    graph = gmap.graph
     resolve: dict[str, str] = {p: match[p] for p in rule.preserved}
     created: list[tuple[str, str]] = []  # (right name, host name)
     for q in rule.right_only:
         candidate = q
         k = 0
-        while candidate in graph:
+        while candidate in graph and candidate not in deleted_darts:
             k += 1
             candidate = f"{q}#{k}"
-        graph._add_node(candidate)
         resolve[q] = candidate
         created.append((q, candidate))
 
-    for link in rule.right.links:
-        graph._add_link({resolve[u] for u in link.ends}, link.dim)
+    result = gmap.copy()
+    result.graph._edit(
+        matched_ids,
+        deleted_darts,
+        [name for _, name in created],
+        ((link.dim, [resolve[u] for u in link.ends]) for link in rule.right.links),
+    )
 
     for layer in gmap.embeddings.values():
         values = result.embeddings[layer.name].values
         for a in deleted_darts:
             del values[a]
+        same: dict[str, Any] = {}  # node -> its value, where the orbit dart does not matter
         for q, host_name in created:
             orbit_dart, node = split_instance(q)
             directive = table.get((layer.name, node))
@@ -340,8 +351,13 @@ def apply_rule(
                 raise MissingDirectiveError(
                     f"no directive for layer {layer.name!r} on created node {node!r}"
                 )
-            value = _directive_value(directive, layer, orbit_dart, rule, match)
-            values[host_name] = normalize_value(layer.value_type, value)
+            value = same.get(node)
+            if value is None:
+                value = _directive_value(directive, layer, orbit_dart, rule, match)
+                value = normalize_value(layer.value_type, value)
+                if directive.kind != "inherit":
+                    same[node] = value
+            values[host_name] = value
 
     # links changed only at preserved and created darts
     touched = set(resolve.values())

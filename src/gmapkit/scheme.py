@@ -148,19 +148,25 @@ def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> Labele
 
 
 def _instance(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
-    darts = orbit_graph.nodes
-    links = []
-    for name, decoration in scheme.nodes:
-        f = RelabelingFunction(scheme.parameter, decoration).mapping
-        for link in orbit_graph.links:
-            dim = f[link.dim]
-            if isinstance(dim, int):
-                links.append((dim, [instance_name(u, name) for u in link.ends]))
-    for arc in scheme.arcs:
-        for u in sorted(darts):
-            links.append((arc.dim, (instance_name(u, arc.a), instance_name(u, arc.b))))
-    nodes = [instance_name(u, name) for name in scheme.node_names for u in darts]
-    return LabeledGraph.build(orbit_graph.ambient_dimension, nodes, links)
+    darts, orbit_links = orbit_graph.nodes, orbit_graph.links
+    # each scheme node's copy of each orbit dart, named once
+    copies = {name: {u: instance_name(u, name) for u in darts} for name in scheme.node_names}
+
+    def links():
+        for name, decoration in scheme.nodes:
+            f = RelabelingFunction(scheme.parameter, decoration).mapping
+            copy = copies[name]
+            for link in orbit_links:
+                dim = f[link.dim]
+                if isinstance(dim, int):
+                    yield dim, [copy[u] for u in link.ends]
+        for arc in scheme.arcs:
+            a, b = copies[arc.a], copies[arc.b]
+            for u in sorted(darts):
+                yield arc.dim, (a[u], b[u])
+
+    nodes = [n for copy in copies.values() for n in copy.values()]
+    return LabeledGraph.build(orbit_graph.ambient_dimension, nodes, links())
 
 
 @dataclass(frozen=True)

@@ -561,8 +561,8 @@ def random_valid_gmap(seed: int, n: int = 2, max_darts: int = 16) -> Gmap:
             continue
         candidate = graph.copy()
         for x, y in pairing.items():
-            candidate._remove_link(candidate.incident_links(x, i)[0].id)
-            candidate._remove_link(candidate.incident_links(y, i)[0].id)
+            candidate._edit(drop=[candidate.incident_links(x, i)[0].id])
+            candidate._edit(drop=[candidate.incident_links(y, i)[0].id])
             candidate._add_link({x, y}, i)
         if Gmap(candidate).validate().ok:  # safety net; sews should preserve validity
             graph = candidate

@@ -96,7 +96,7 @@ def test_add_then_remove_link_restores_graph():
         new_ids = {l.id for l in bigger.links} - {l.id for l in g.links}
         (new_id,) = new_ids
         assert [l.dim for l in bigger.links if l.id == new_id] == [1]
-        bigger._remove_link(new_id)
+        bigger._edit(drop=[new_id])
         assert bigger == before
         assert g == before
 
@@ -105,12 +105,12 @@ def test_link_lookup_by_unknown_id():
     from gmapkit import UnknownLinkError
 
     with pytest.raises(UnknownLinkError):
-        free_edge_graph()._remove_link("L99")
+        free_edge_graph()._edit(drop=["L99"])
 
 
 def test_remove_node_drops_incident_links():
     g = free_edge_graph().copy()
-    g._remove_node("a")
+    g._edit(drop_nodes=["a"])
     assert set(g.nodes) == {"b"}
     assert [l.dim for l in g.links] == [2]
 
@@ -300,6 +300,44 @@ def _adjacency(g):
     return {u: g.incident_links(u) for u in g.nodes}
 
 
+def _identity(g):
+    """Everything that names a graph's parts: each node's tuple, the links
+    in order and the next link id."""
+    return list(g._adj.items()), list(g._links.items()), g._next_link
+
+
+def _batched_edit(rng, g, n, step):
+    """One ``_edit`` call with several removals and additions: loops,
+    parallel links, links at the ends of dropped links, and now and then
+    a node dropped and its name added again.  It must leave ``g`` as the
+    same edits made one at a time leave a copy of it."""
+    drop = [l.id for l in rng.sample(g.links, min(len(g.links), rng.randint(1, 4)))]
+    drop_nodes = rng.sample(g.nodes, min(len(g.nodes), rng.randint(0, 1)))
+    nodes = [f"w{step}b{k}" for k in range(rng.randint(0, 2))]
+    if drop_nodes and rng.random() < 0.5:
+        nodes.append(drop_nodes[0])
+    keep = [u for u in g.nodes if u not in drop_nodes] + nodes
+    unlinked = [u for i in drop for u in g._links[i].ends if u in keep]
+    links = []
+    for _ in range(rng.randint(1, 6) if keep else 0):
+        u = rng.choice(unlinked or keep)
+        v = u if rng.random() < 0.3 else rng.choice(keep)
+        links.append((rng.randint(0, n), {u, v}))
+    if links and rng.random() < 0.5:
+        links.append(links[-1])
+    one_by_one = g.copy()
+    for link_id in drop:
+        one_by_one._edit(drop=[link_id])
+    for name in drop_nodes:
+        one_by_one._edit(drop_nodes=[name])
+    for name in nodes:
+        one_by_one._add_node(name)
+    for dim, ends in links:
+        one_by_one._add_link(ends, dim)
+    g._edit(drop, drop_nodes, nodes, links)
+    assert _identity(g) == _identity(one_by_one)
+
+
 def test_incident_links_agree_with_a_scan_under_random_edits():
     rng = random.Random(4)
     for _ in range(150):
@@ -315,12 +353,14 @@ def test_incident_links_agree_with_a_scan_under_random_edits():
         h = g.copy()
         for step in range(rng.randint(1, 20)):
             op = rng.random()
-            if op < 0.5 and h.nodes:
+            if rng.random() < 0.25:
+                _batched_edit(rng, h, n, step)
+            elif op < 0.5 and h.nodes:
                 h._add_link({rng.choice(h.nodes), rng.choice(h.nodes)}, rng.randint(0, n))
             elif op < 0.75 and h.links:
-                h._remove_link(rng.choice(h.links).id)
+                h._edit(drop=[rng.choice(h.links).id])
             elif op < 0.85 and h.nodes:
-                h._remove_node(rng.choice(h.nodes))
+                h._edit(drop_nodes=[rng.choice(h.nodes)])
             else:
                 h._add_node(f"w{step}")
         for u in h.nodes:
@@ -353,12 +393,14 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
             i = rng.randrange(3)  # the original too, not only the copies
             x = generations[i]
             op = rng.random()
-            if op < 0.4 and x.nodes:
+            if rng.random() < 0.25:
+                _batched_edit(rng, x, n, step)
+            elif op < 0.4 and x.nodes:
                 x._add_link({rng.choice(x.nodes), rng.choice(x.nodes)}, rng.randint(0, n))
             elif op < 0.7 and x.links:
-                x._remove_link(rng.choice(x.links).id)
+                x._edit(drop=[rng.choice(x.links).id])
             elif op < 0.85 and x.nodes:
-                x._remove_node(rng.choice(x.nodes))
+                x._edit(drop_nodes=[rng.choice(x.nodes)])
             else:
                 x._add_node(f"w{step}")
             assert all(type(t) is tuple for t in x._adj.values())
