@@ -21,9 +21,9 @@ touched node's new links in a list and, at the end, replaces the node's
 tuple once with its kept links plus those, sorted.
 :meth:`LabeledGraph.build` is that edit on an empty graph.  Only the
 library itself edits in place: rule application on a
-:meth:`~LabeledGraph.copy` of the host graph, and, through the one-item
-forms ``_add_node`` and ``_add_link``, the token parser that reports a
-``.gmap`` document's first error.
+:meth:`~LabeledGraph.copy` of the host graph, and ``parse_gmap``.  The
+one-item forms ``_add_node`` and ``_add_link`` serve the tests, the
+frozen token-by-token ``.gmap`` parser among them.
 
 A node's tuple never changes.  A copy shares every tuple with its
 original, so copying costs two dict copies.  An edit replaces only the

@@ -8,18 +8,19 @@ nodes by name.  All output uses LF line endings.
 
 A ``.gmap`` document is read record by record (the header, a dart name,
 a link, a layer header, one dart's value) with patterns built from the
-tokenizer's own, and the map is built in one step.  Any record the scan
-cannot read, or a map that cannot be built, hands the whole document to
-the tokenizer, which reports the error and its position.  ``.jrule``
-schemes are read token by token.
+tokenizer's own, and the map is built in one step.  Only an error lexes
+the text, once, to raise it with the message, line and column of reading
+the document token by token.  ``.jrule`` schemes are read token by token.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Any
+from operator import attrgetter
+from typing import Any, NoReturn
 
 from .errors import (
     EmbeddingError,
@@ -29,7 +30,7 @@ from .errors import (
     SchemeError,
     UnknownLayerError,
 )
-from .gmap import EmbeddingLayer, Gmap, VALUE_TYPES
+from .gmap import EmbeddingLayer, Gmap
 from .graph import LabeledGraph
 from .orbits import REMOVE, GeneralizedOrbitType, OrbitType
 from .scheme import GraphScheme, RuleScheme, SchemeArc
@@ -76,6 +77,7 @@ class _Token:
     text: str
     line: int
     column: int
+    start: int  # offset of its first character in the text
 
 
 class _Tokenizer:
@@ -107,11 +109,11 @@ class _Tokenizer:
             if kind == "BAD":
                 raise ParseError(f"unexpected character {s!r}", line, col)
             if kind == "STRING":
-                self._tokens.append(_Token(kind, _unquote(s), line, col))
+                self._tokens.append(_Token(kind, _unquote(s), line, col, m.start()))
             elif kind != "WS":
-                self._tokens.append(_Token(s if kind == "SYMBOL" else kind, s, line, col))
+                self._tokens.append(_Token(s if kind == "SYMBOL" else kind, s, line, col, m.start()))
             col += len(s)
-        self._tokens.append(_Token("EOF", "", line, col))
+        self._tokens.append(_Token("EOF", "", line, col, len(text)))
         self._pos = 0
 
     def peek(self) -> _Token:
@@ -149,13 +151,6 @@ class _Tokenizer:
             self.error(f"expected a natural number, found {tok.text!r}")
         self.next()
         return _integer(tok.text, tok.line, tok.column)
-
-    def expect_number(self) -> tuple[str, float]:
-        tok = self.peek()
-        if tok.kind != "NUMBER":
-            self.error(f"expected a number, found {tok.text!r}")
-        self.next()
-        return tok.text, float(tok.text)
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +200,6 @@ def serialize_gmap(g: Gmap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_value(tz: _Tokenizer, value_type: str) -> Any:
-    if value_type == "string":
-        tok = tz.peek()
-        if tok.kind != "STRING":
-            tz.error(f"expected a quoted string, found {tok.text!r}")
-        tz.next()
-        return tok.text
-    if value_type == "scalar":
-        return tz.expect_number()[1]
-    arity = {"point2d": 2, "point3d": 3, "color_rgb": 3}[value_type]
-    out = []
-    for _ in range(arity):
-        tok = tz.peek()
-        text, num = tz.expect_number()
-        if value_type == "color_rgb":
-            if not text.lstrip("-").isdigit():
-                tz.error(f"color components must be integers, found {text!r}")
-            out.append(_integer(text, tok.line, tok.column))
-        else:
-            out.append(num)
-    return tuple(out)
-
-
 # Record patterns of a .gmap document, built from the tokenizer's own
 # sub-patterns.  Each token ends where the tokenizer's would: the
 # lookaheads forbid a character that would extend it, so a record
@@ -240,8 +212,30 @@ _WORD_END = r"(?![A-Za-z0-9_@#-])"
 _NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
 _ID = rf"({_GMAP_IDENT.pattern}){_WORD_END}"
 _NAT = rf"(\d+){_NUMBER_END}"
-_NUM = rf"({_NUMBER}){_NUMBER_END}"
+# the tokenizer's number takes an exponent where one follows, and a name
+# may follow an exponent: 3e5e5 is the number 3e5, then the name e5
+_NUM = r"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+(?!\d)|(?![eE][+-]?\d)))(?!\d|\.\d)"
 _INT = rf"(-?\d+){_NUMBER_END}"
+_STR = rf"({_STRING})"
+
+_HEADER = ("dimension", _NAT, "darts", r"\{")
+_LINK = (_NAT, ":", _ID)
+_LAYER = (_ID, r"\{", "orbit", ":")
+_TYPE = ("type", ":", _ID)
+
+#: record part -> the kind of its token, and the token's name in an error;
+#: a keyword part is an IDENT of that text
+_PART_TOKENS = {
+    _ID: ("IDENT", "IDENT"),
+    _NAT: ("NUMBER", "a natural number"),
+    _NUM: ("NUMBER", "a number"),
+    _INT: ("NUMBER", "a number"),
+    _STR: ("STRING", "a quoted string"),
+    r"\{": ("{", "{"),
+    r"\}": ("}", "}"),
+    ":": (":", ":"),
+    r"\Z": ("EOF", "EOF"),
+}
 
 
 @cache
@@ -255,7 +249,7 @@ def _record(*parts: str) -> re.Pattern:
 
 #: value type -> (the tokens of one value, the value from their groups)
 _VALUE_TOKENS = {
-    "string": ((f"({_STRING})",), lambda v: _unquote(v[0])),
+    "string": ((_STR,), lambda v: _unquote(v[0])),
     "scalar": ((_NUM,), lambda v: float(v[0])),
     "point2d": ((_NUM, _NUM), lambda v: tuple(map(float, v))),
     "point3d": ((_NUM, _NUM, _NUM), lambda v: tuple(map(float, v))),
@@ -263,139 +257,134 @@ _VALUE_TOKENS = {
 }
 
 
-def _scan_gmap(text: str) -> Gmap | None:
-    """The map of a .gmap document read record by record, or ``None`` at
-    the first record that does not match or a dart's second value."""
-    if not (m := _record("dimension", _NAT, "darts", r"\{").match(text)):
-        return None
-    n, pos = int(m[1]), m.end()
-    darts, dart = [], _record(_ID).match
-    while m := dart(text, pos):
-        darts.append(m[1])
-        pos = m.end()
-    if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
-        return None
-    pos = m.end()
-    links, link = [], _record(_NAT, ":", _ID, f"(?:{_ID})?").match
-    while m := link(text, pos):
-        dim, a, b = m.groups()
-        links.append((int(dim), (a,) if b is None else (a, b)))
-        pos = m.end()
-    if not (m := _record(r"\}").match(text, pos)):
-        return None
-    pos = m.end()
-    layers = []
-    if m := _record("embeddings", r"\{").match(text, pos):
-        pos = m.end()
-        while m := _record(_ID, r"\{", "orbit", ":").match(text, pos):
-            name, pos = m[1], m.end()
-            dims = []
-            while m := _record(_NAT).match(text, pos):
-                dims.append(int(m[1]))
-                pos = m.end()
-            m = _record("type", ":", _ID, "values", r"\{").match(text, pos)
-            if not m or m[1] not in _VALUE_TOKENS:
-                return None
-            value_type, pos = m[1], m.end()
-            tokens, value = _VALUE_TOKENS[value_type]
-            values, record = {}, _record(_ID, ":", *tokens).match
-            while m := record(text, pos):
-                dart_name, *parts = m.groups()
-                if dart_name in values:
-                    return None
-                values[dart_name] = value(parts)
-                pos = m.end()
-            if not (m := _record(r"\}", r"\}").match(text, pos)):
-                return None
-            pos = m.end()
-            layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
-        if not (m := _record(r"\}").match(text, pos)):
-            return None
-        pos = m.end()
-    if not _record(r"\Z").match(text, pos):
-        return None
-    return Gmap(LabeledGraph.build(n, darts, links), layers)
+def _fail(text: str, pos: int, parts: tuple = (), loop: tuple = (), message: str = "") -> NoReturn:
+    """Raise the first error of a document whose record at ``pos`` the
+    scan could not read: the error, line and column of reading the
+    document token by token.
+
+    A lexical error anywhere comes first.  Then the record's tokens are
+    read one by one: ``loop``'s, if the token at ``pos`` can start it,
+    else ``parts``'.  The first token that is not what its part reads
+    is the error; if there is none, ``message`` is, at the token after
+    the record."""
+    tz = _Tokenizer(text, _GMAP_TOKENS)
+    tz._pos = bisect_left(tz._tokens, pos, key=attrgetter("start"))
+    if loop:
+        first = loop[0]
+        if tz.at_keyword(first) if first.isalpha() else tz.peek().kind == _PART_TOKENS[first][0]:
+            parts = loop
+    for part in parts:
+        if part.isalpha():
+            tz.expect_keyword(part)
+            continue
+        tok, (kind, name) = tz.peek(), _PART_TOKENS[part]
+        if tok.kind != kind or part == _NAT and not tok.text.isdigit():
+            tz.error(f"expected {name}, found {tok.text!r}")
+        tz.next()
+        if part == _INT and not tok.text.lstrip("-").isdigit():
+            tz.error(f"color components must be integers, found {tok.text!r}")
+        if part in (_NAT, _INT):
+            _integer(tok.text, tok.line, tok.column)
+    if message:
+        tz.error(message)
+    raise AssertionError(f"the scan stopped at a record that reads as tokens: {tz.peek()}")
+
+
+def _build(text: str, n: int, darts: list[str], links: list) -> LabeledGraph:
+    """The graph of a document's darts and links.  A repeated dart is a
+    syntax error at its token, a bad link an error naming its line."""
+    graph = LabeledGraph(n)
+    try:
+        graph._edit(nodes=darts, links=links)
+    except GmapError as exc:
+        # the edits before the error are done: the count of nodes, or
+        # else of links, added is the index of the failing one
+        tokens = _Tokenizer(text, _GMAP_TOKENS)._tokens  # a lexical error comes first
+        if len(graph) < len(darts):
+            tok = tokens[len(_HEADER) + len(graph)]
+            raise ParseError(str(exc), tok.line, tok.column) from exc
+        k = len(_HEADER) + len(darts) + 3  # the first link's first token
+        for _ in graph.links:
+            k += 4 if tokens[k + 3].kind == "IDENT" else 3
+        exc.args = (f"{exc.args[0]} (line {tokens[k].line})",) + exc.args[1:]
+        raise
+    return graph
 
 
 def parse_gmap(text: str) -> Gmap:
     """Parse a .gmap document; structural invariants are enforced, the
     topological constraints are not (run ``validate`` separately).
 
-    The document is read record by record.  If a record does not match,
-    or the map it describes cannot be built, the whole text is parsed
-    again token by token, which raises its first error with the position.
-    """
+    The document is read record by record; its first error is raised
+    as reading it token by token raises it, with its position."""
+    pos, reading = 0, _HEADER  # the record a number past int()'s digit limit is in
     try:
-        g = _scan_gmap(text)
-    except (GmapError, ValueError):  # ValueError: int() of over 4300 digits
-        g = None
-    return _parse_gmap_tokens(text) if g is None else g
-
-
-def _parse_gmap_tokens(text: str) -> Gmap:
-    """Token by token: the parse that reports a document's first error."""
-    tz = _Tokenizer(text, _GMAP_TOKENS)
-    tz.expect_keyword("dimension")
-    n = tz.expect_nat()
-    graph = LabeledGraph(n)
-
-    tz.expect_keyword("darts")
-    tz.expect("{")
-    while tz.peek().kind == "IDENT":
-        tok = tz.next()
+        if not (m := _record(*_HEADER).match(text)):
+            _fail(text, pos, _HEADER)
+        n, pos = int(m[1]), m.end()
+        darts, links, dart = [], [], _record(_ID).match
+        # the graph is built even when a record fails to read, so that an
+        # error at a dart or link before that record comes first
         try:
-            graph._add_node(tok.text)
-        except GmapError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
-    tz.expect("}")
-
-    tz.expect_keyword("links")
-    tz.expect("{")
-    while tz.peek().kind == "NUMBER":
-        tok = tz.peek()
-        dim = tz.expect_nat()
-        tz.expect(":")
-        ends = [tz.expect("IDENT").text]
-        if tz.peek().kind == "IDENT":
-            ends.append(tz.next().text)
-        try:
-            graph._add_link(ends, dim)
-        except GmapError as exc:
-            exc.args = (f"{exc.args[0]} (line {tok.line})",) + exc.args[1:]
-            raise
-    tz.expect("}")
-
-    layers = []
-    if tz.at_keyword("embeddings"):
-        tz.next()
-        tz.expect("{")
-        while tz.peek().kind == "IDENT":
-            name = tz.next().text
-            tz.expect("{")
-            tz.expect_keyword("orbit")
-            tz.expect(":")
-            dims = []
-            while tz.peek().kind == "NUMBER":
-                dims.append(tz.expect_nat())
-            tz.expect_keyword("type")
-            tz.expect(":")
-            vt_tok = tz.expect("IDENT")
-            if vt_tok.text not in VALUE_TYPES:
-                tz.error(f"unknown value type {vt_tok.text!r}", vt_tok)
-            tz.expect_keyword("values")
-            tz.expect("{")
-            values = {}
-            while tz.peek().kind == "IDENT":
-                dart = tz.next()
-                if dart.text in values:
-                    tz.error(f"dart {dart.text!r} has two values in layer {name!r}", dart)
-                tz.expect(":")
-                values[dart.text] = _parse_value(tz, vt_tok.text)
-            tz.expect("}")
-            tz.expect("}")
-            layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), vt_tok.text, values))
-        tz.expect("}")
-    tz.expect("EOF")
+            while m := dart(text, pos):
+                darts.append(m[1])
+                pos = m.end()
+            if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
+                _fail(text, pos, (r"\}", "links", r"\{"))
+            pos, reading = m.end(), _LINK
+            link = _record(*_LINK, f"(?:{_ID})?").match
+            while m := link(text, pos):
+                dim, a, b = m.groups()
+                links.append((int(dim), (a,) if b is None else (a, b)))
+                pos = m.end()
+            if not (m := _record(r"\}").match(text, pos)):
+                _fail(text, pos, (r"\}",), _LINK)
+            pos = m.end()
+        finally:
+            graph = _build(text, n, darts, links)
+        layers = []
+        if embeddings := _record("embeddings", r"\{").match(text, pos):
+            pos = embeddings.end()
+            while m := _record(*_LAYER).match(text, pos):
+                name, pos = m[1], m.end()
+                dims, reading = [], (_NAT,)
+                while m := _record(_NAT).match(text, pos):
+                    dims.append(int(m[1]))
+                    pos = m.end()
+                if not (m := _record(*_TYPE).match(text, pos)):
+                    _fail(text, pos, _TYPE, (_NAT,))
+                value_type, pos = m[1], m.end()
+                if value_type not in _VALUE_TOKENS:
+                    _fail(text, m.start(1), message=f"unknown value type {value_type!r}")
+                if not (m := _record("values", r"\{").match(text, pos)):
+                    _fail(text, pos, ("values", r"\{"))
+                pos = m.end()
+                tokens, value = _VALUE_TOKENS[value_type]
+                reading = (_ID, ":", *tokens)
+                values, record = {}, _record(*reading).match
+                while m := record(text, pos):
+                    dart_name, *parts = m.groups()
+                    if dart_name in values:
+                        break
+                    values[dart_name] = value(parts)
+                    pos = m.end()
+                if not (m := _record(r"\}", r"\}").match(text, pos)):
+                    if (m := dart(text, pos)) and m[1] in values:
+                        _fail(text, pos, message=f"dart {m[1]!r} has two values in layer {name!r}")
+                    _fail(text, pos, (r"\}", r"\}"), reading)
+                pos = m.end()
+                try:
+                    layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
+                except GmapError:
+                    _Tokenizer(text, _GMAP_TOKENS)  # a lexical error comes first
+                    raise
+            if not (m := _record(r"\}").match(text, pos)):
+                _fail(text, pos, (r"\}",), _LAYER)
+            pos = m.end()
+        if not _record(r"\Z").match(text, pos):
+            _fail(text, pos, (r"\Z",), () if embeddings else ("embeddings", r"\{"))
+    except ValueError:  # int() of a number past the digit limit
+        _fail(text, pos, reading)
     return Gmap(graph, layers)
 
 

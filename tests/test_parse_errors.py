@@ -101,6 +101,21 @@ GMAP_CASES = {
         layer("color_rgb", f"      a: 0 -{BIG} 0\n"),
         "number of 5000 digits is too long (line 13, column 12)",
     ),
+    # an error is the first in token order: a dart error before a later
+    # syntax error, a lexical error before any other
+    "duplicate_dart_then_syntax": (
+        "dimension 2\ndarts { a b a }\nlinks { 0: a }\n}\n",
+        "node 'a' already present (line 2, column 13)",
+    ),
+    "duplicate_dart_then_character": (
+        "dimension 2\ndarts { a b a }\nlinks { 0: a $ }\n",
+        "unexpected character '$' (line 3, column 14)",
+    ),
+    # the value type is its own token, checked before 'values'
+    "value_type_glued_to_values": (
+        HEAD + "embeddings {\n  L {\n    orbit: 0 1 2\n    type:strivalues{\n",
+        "unknown value type 'strivalues' (line 11, column 10)",
+    ),
 }
 
 RULE_CASES = {

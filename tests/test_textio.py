@@ -71,6 +71,36 @@ def test_unknown_dart_in_link():
         parse_gmap(doc)
 
 
+def test_unknown_link_end_before_a_later_syntax_error():
+    doc = "dimension 2\ndarts { a b }\nlinks {\n  0: a b\n  1: a z\n  2: b\n}\n}\n"
+    with pytest.raises(UnknownNodeError) as exc:
+        parse_gmap(doc)
+    assert str(exc.value) == "unknown node 'z' (line 5)"
+
+
+def test_duplicate_dart_before_a_huge_color_component():
+    doc = (
+        "dimension 2\ndarts { a a }\nlinks {\n  0: a\n}\n"
+        "embeddings {\n  L {\n    orbit: 0\n    type: color_rgb\n"
+        f"    values {{\n      a: 0 {'1' * 5000} 0\n    }}\n  }}\n}}\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_gmap(doc)
+    assert str(exc.value) == "node 'a' already present (line 2, column 11)"
+
+
+def test_exponent_glued_to_a_dart_named_like_an_exponent():
+    # 3e5e5 is the number 3e5 and then the dart e5
+    doc = (
+        "dimension 2\ndarts { a e5 }\nlinks { 0: a e5 1: a 1: e5 2: a 2: e5 }\n"
+        "embeddings {\n  pos {\n    orbit: 1 2\n    type: point3d\n"
+        "    values {\n      a: 1 2 3e5e5: 4 5 6\n    }\n  }\n}\n"
+    )
+    g = parse_gmap(doc)
+    assert g == parse_gmap(doc.replace("3e5e5", "3e5 e5"))
+    assert g.embeddings["pos"].values == {"a": (1.0, 2.0, 3e5), "e5": (4.0, 5.0, 6.0)}
+
+
 def test_unknown_dart_in_values():
     doc = (
         "dimension 2\ndarts { a }\nlinks { 0: a }\n"
