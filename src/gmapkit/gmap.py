@@ -342,20 +342,9 @@ class Gmap:
         """The sub-map reachable from ``dart`` through links with dims in ``o``.
 
         Nodes appear in :meth:`orbit_darts` order, links in first-encounter
-        order along it; both are deterministic.
-        """
-        order = self.orbit_darts(o, dart)
-        dims = set(o)
-
-        def links():  # each at the first of its ends in the order
-            seen: set[str] = set()
-            for u in order:
-                for l in self.graph.incident_links(u):
-                    if l.dim in dims and seen.isdisjoint(l.ends):
-                        yield l.dim, l.ends
-                seen.add(u)
-
-        return LabeledGraph.build(self.n, order, links())
+        order along it; both are deterministic.  Its links are the host's
+        own ``Link`` objects, with the host's ids (:meth:`LabeledGraph._sub`)."""
+        return self.graph._sub(self.orbit_darts(o, dart), o)
 
     def cell_type(self, i: int) -> OrbitType:
         """Orbit type of i-cells: all dimensions of 0..n except ``i``."""

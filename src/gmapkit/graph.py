@@ -26,9 +26,10 @@ one-item forms ``_add_node`` and ``_add_link`` serve the tests, the
 frozen token-by-token ``.gmap`` parser among them.
 
 A node's tuple never changes.  A copy shares every tuple with its
-original, so copying costs two dict copies.  An edit replaces only the
-tuples of the nodes it touches, so no edit of either graph shows in the
-other.
+original, so copying costs two dict copies; an orbit graph (``_sub``)
+shares its host's ``Link`` objects, ids, next id and each tuple with no
+link outside the orbit.  An edit replaces only the tuples of the nodes
+it touches, so no edit of one of these graphs shows in another.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ class LabeledGraph:
         by one with :meth:`_add_node` and :meth:`_add_link`."""
         g = cls(ambient_dimension)
         g._edit(nodes=nodes, links=links)
+        return g
+
+    def _sub(self, nodes: Iterable[str], dims: Collection[int]) -> "LabeledGraph":
+        """The subgraph on ``nodes``, a :meth:`reach` over ``dims``, with its
+        links in first-encounter order along ``nodes``: this graph's own, with
+        their ids and next id, and each tuple with no link outside ``dims``."""
+        g, dims = LabeledGraph(self.ambient_dimension), set(dims)
+        g._adj = {u: self._adj[u] for u in nodes}
+        if not dims.issuperset(range(self.ambient_dimension + 1)):
+            for u, at in g._adj.items():
+                kept = tuple([l for l in at if l.dim in dims])
+                if len(kept) < len(at):
+                    g._adj[u] = kept
+        g._links = {l.id: l for at in g._adj.values() for l in at}  # a repeat keeps its place
+        g._next_link = self._next_link
         return g
 
     def copy(self) -> "LabeledGraph":

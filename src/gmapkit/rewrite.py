@@ -100,15 +100,16 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
             one = {}  # a dim repeats at a: _forced tells the dims apart
         for link in pattern.incident_links(x):
             host = links[link.id] = one.get(link.dim) or _forced(gmap, a, link.dim)
-            b = host.other_end(a)
-            if link.is_loop:
+            e, f = host.ends, link.ends
+            b = e[0] if e[-1] == a else e[-1]
+            if len(f) == 1:
                 if b != a:
                     raise MatchError(
                         f"pattern has a {link.dim}-loop at {x!r} but host dart "
                         f"{a!r} is {link.dim}-linked to {b!r}"
                     )
                 continue
-            y = link.other_end(x)
+            y = f[0] if f[-1] == x else f[-1]
             if b == a:
                 raise MatchError(
                     f"pattern link {x!r}-{link.dim}-{y!r} cannot map onto the "
@@ -207,7 +208,7 @@ def _average(value_type: str, values: list[Any]) -> Any:
 
 def _directive_table(
     directives: Iterable[EmbeddingDirective],
-    rule: InstantiatedRule,
+    right_only: Iterable[str],
     layers: Mapping[str, EmbeddingLayer],
 ) -> dict[tuple[str, str], EmbeddingDirective]:
     """``{(layer, node): directive}``, once no pair repeats and every
@@ -217,7 +218,7 @@ def _directive_table(
         if (d.layer, d.node) in table:
             raise DirectiveError(f"duplicate directive for layer {d.layer!r}, node {d.node!r}")
         table[d.layer, d.node] = d
-    created = {split_instance(q)[1] for q in rule.right_only}
+    created = {split_instance(q)[1] for q in right_only}
     for layer, node in table:
         if layer not in layers:
             raise DirectiveError(f"directive references unknown layer {layer!r}")
@@ -289,28 +290,33 @@ def apply_rule(
     """
     if match is None:
         match = complete_match(rule, gmap)
-    left_links = {link.id for link in rule.left.links}
-    if set(match.mapping) != set(rule.left.nodes) or match.links.keys() != left_links:
+    mapping, links, left = match.mapping, match.links, rule.left
+    covered = len(mapping) == len(left) and all(map(mapping.__contains__, left.nodes))
+    if not covered or links.keys() != {link.id for link in left.links}:
         raise MatchError("match does not cover the left side exactly")
-    if len(match.image) != len(match.mapping):
+    if len(match.image) != len(mapping):
         raise MatchError("match is not injective")
 
-    table = _directive_table(directives, rule, gmap.embeddings)
+    right_only, left_only = rule.right_only, rule.left_only
+    table = _directive_table(directives, right_only, gmap.embeddings)
 
-    mapping = match.mapping
-    for link in rule.left.links:
-        # h joins the images of the link's ends, two distinct ones for a
-        # non-loop since the match is injective
-        h, a, b = match.links[link.id], mapping[link.ends[0]], mapping[link.ends[-1]]
-        ends = (a,) if a == b else (a, b) if a < b else (b, a)
-        if h.ends != ends or gmap.graph.incident_links(a, link.dim) != (h,):
-            raise MatchError("match does not agree with the host's links")
-    matched_ids = {link.id for link in match.links.values()}
+    # each left link is the unique host link of its dim at each end's image
+    graph = gmap.graph
+    for x, a in mapping.items():
+        at = graph.incident_links(a)
+        one = {h.dim: h for h in at}
+        if len(one) < len(at):  # a repeated dim has no unique link
+            one = {d: h for d, h in one.items() if [l.dim for l in at].count(d) == 1}
+        for link in left.incident_links(x):
+            h, g = links[link.id], one.get(link.dim)
+            if (g is not h and g != h) or len(h.ends) != len(link.ends):
+                raise MatchError("match does not agree with the host's links")
+    matched_ids = {link.id for link in links.values()}
 
-    deleted_darts = {match[x] for x in rule.left_only}
-    for x in sorted(rule.left_only):
-        a = match[x]
-        for host_link in gmap.graph.incident_links(a):
+    deleted_darts = {mapping[x] for x in left_only}
+    for x in sorted(left_only):
+        a = mapping[x]
+        for host_link in graph.incident_links(a):
             if host_link.id not in matched_ids:
                 raise DanglingDartError(
                     f"deleting dart {a!r} would dangle link "
@@ -319,10 +325,9 @@ def apply_rule(
 
     # resolve right-side names: preserved through the match, created fresh
     # among the darts that stay
-    graph = gmap.graph
-    resolve: dict[str, str] = {p: match[p] for p in rule.preserved}
+    resolve: dict[str, str] = {p: mapping[p] for p in rule.preserved}
     created: list[tuple[str, str]] = []  # (right name, host name)
-    for q in rule.right_only:
+    for q in right_only:
         candidate = q
         k = 0
         while candidate in graph and candidate not in deleted_darts:

@@ -131,6 +131,22 @@ def oracle_orbit(g: Gmap, o: OrbitType, dart: str) -> frozenset[str]:
     return oracle_reach(g.graph, [dart], set(o))
 
 
+def reference_orbit_graph(g: Gmap, o: OrbitType, dart: str) -> LabeledGraph:
+    """The orbit graph rebuilt with links of its own: ``LabeledGraph.build``
+    over :meth:`Gmap.orbit_darts` and the ``(dim, ends)`` of the orbit's
+    links, each at the first of its ends in that order, with fresh ids."""
+    order = g.orbit_darts(o, dart)
+    dims = set(o)
+    links = []
+    seen: set[str] = set()
+    for u in order:
+        for link in g.graph.incident_links(u):
+            if link.dim in dims and seen.isdisjoint(link.ends):
+                links.append((link.dim, link.ends))
+        seen.add(u)
+    return LabeledGraph.build(g.n, order, links)
+
+
 def oracle_instantiate(
     scheme: GraphScheme, orbit_graph: LabeledGraph
 ) -> tuple[frozenset[str], tuple[tuple[int, tuple[str, ...]], ...]]:

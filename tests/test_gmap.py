@@ -13,11 +13,16 @@ from gmapkit import (
     LabeledGraph,
     OrbitType,
     UnknownNodeError,
+    apply_rule,
+    instantiate_rule,
+    parse_directive,
+    serialize_gmap,
 )
 from gmapkit.mesh import unify
 
 from conftest import fixture_text, free_edge_graph, sewn_edge_graph
 from gmapkit import parse_gmap
+from oracle import random_valid_gmap, reference_orbit_graph
 
 
 def free_edge_gmap() -> Gmap:
@@ -192,6 +197,62 @@ def test_orbit_symmetry(square_gmap):
         members = square_gmap.orbit_darts(o, d)
         for e in members:
             assert d in square_gmap.orbit_darts(o, e)
+
+
+def _orbit_hosts():
+    """Random valid maps of dimension 0..3 and the broken fixtures, which
+    hold loops and darts with a repeated dim."""
+    hosts = [pytest.param(random_valid_gmap(seed, n=seed % 4), id=f"random{seed}") for seed in range(24)]
+    for name in ("broken_cycle", "broken_incidence", "broken_three_faces", "free_edge", "segment_1d"):
+        hosts.append(pytest.param(parse_gmap(fixture_text(f"{name}.gmap")), id=name))
+    # parallel links whose ids sort apart as strings (L9, L10)
+    parallel = [(0, ("a", "b"))] * 11 + [(1, ("c",))] * 2 + [(1, ("a", "c"))]
+    hosts.append(pytest.param(Gmap.build(1, "abc", parallel), id="parallel"))
+    return hosts
+
+
+def _dim_ends(links):
+    return [(l.dim, l.ends) for l in links]
+
+
+@pytest.mark.parametrize("host", _orbit_hosts())
+def test_orbit_graph_agrees_with_the_rebuilt_reference(host):
+    dims = range(host.n + 1)
+    types = [OrbitType(tuple(d for d in dims if mask >> d & 1)) for mask in range(1 << (host.n + 1))]
+    for o in types:
+        for dart in host.darts:
+            orbit, reference = host.orbit(o, dart), reference_orbit_graph(host, o, dart)
+            assert orbit.nodes == reference.nodes
+            assert _dim_ends(orbit.links) == _dim_ends(reference.links)
+            for u in orbit.nodes:
+                assert _dim_ends(orbit.incident_links(u)) == _dim_ends(reference.incident_links(u))
+            assert orbit == reference
+            # the host's own links, under their host ids
+            assert all(host.graph._links[l.id] is l for l in orbit.links)
+
+
+def _host_state(g):
+    graph = g.graph
+    return graph.links, {u: graph.incident_links(u) for u in graph.nodes}, graph._next_link, serialize_gmap(g)
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 2), (0, 1), (2,)])
+def test_editing_an_orbit_graph_leaves_its_host_alone(dims, vi_rule):
+    square = parse_gmap(fixture_text("square.gmap"))
+    inst = instantiate_rule(vi_rule, square, "v0e0-1f0")
+    rewritten = apply_rule(inst, square, None, [parse_directive("pos:n1=midpoint(n0)")])
+    for host in (square, rewritten):
+        before = _host_state(host)
+        dart = sorted(host.darts)[0]
+        orbit = host.orbit(OrbitType(dims), dart)
+        shared = orbit.links
+        orbit._edit(drop=[shared[0].id], nodes=["new"], links=[(dims[0], ("new", dart))])
+        (new,) = set(orbit.links) - set(shared)
+        assert new.id not in {l.id for l in host.graph.links}
+        assert "new" in orbit and shared[0] not in orbit.links
+        after = _host_state(host)
+        assert after == before
+        assert all(after[1][u] is at for u, at in before[1].items())
 
 
 # -- cells ------------------------------------------------------------------------

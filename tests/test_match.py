@@ -183,6 +183,58 @@ def test_a_match_whose_mapping_contradicts_its_links_is_refused(vi_rule, square_
     assert serialize_gmap(square_gmap) == before
 
 
+def _elsewhere(match, host, zero):
+    # the left 0-link lands on a host 0-link between two unmatched darts
+    h = next(l for l in host.graph.links if l.dim == 0 and match.image.isdisjoint(l.ends))
+    return replace(match, links={**match.links, zero.id: h}), host
+
+
+def _doubled(match, host, zero):
+    # a second 0-link between the images: each has two links of dim 0
+    host = host.copy()
+    host.graph._edit(links=[(0, match.links[zero.id].ends)])
+    return match, host
+
+
+def _looped(match, host, zero):
+    # a 0-loop at the image of the 0-link's last end only: the host link
+    # must be the one of its dim at the image of each end
+    host = host.copy()
+    host.graph._edit(links=[(0, (match[zero.ends[-1]],))])
+    return match, host
+
+
+def _swapped(match, host, zero):
+    # the 0-link still joins the two images, but each 2-loop is at the other
+    x, y = zero.ends
+    return replace(match, mapping={x: match[y], y: match[x]}), host
+
+
+def _unlooped(match, host, zero):
+    # a left 2-loop lands on the host's only 2-link at its image, which
+    # sews that image to an unmatched dart instead
+    x = zero.ends[0]
+    loop = next(l for l in match.links.values() if l.dim == 2 and l.ends == (match[x],))
+    far = next(l for l in host.graph.links if l.dim == 2 and match.image.isdisjoint(l.ends))
+    host = host.copy()
+    host.graph._edit(drop=[loop.id, far.id], links=[(2, loop.ends + far.ends)])
+    (sewn,) = host.graph.incident_links(match[x], 2)
+    return replace(match, links={k: sewn if h is loop else h for k, h in match.links.items()}), host
+
+
+@pytest.mark.parametrize("spoil", [_elsewhere, _doubled, _looped, _swapped, _unlooped])
+def test_each_matched_dart_must_agree_with_the_host(spoil, vi2_rule, square_gmap):
+    # VI2 on the square: two left darts with a 2-loop each and a 0-link
+    inst = instantiate_rule(vi2_rule, square_gmap, "v0e0-1f0")
+    (zero,) = [l for l in inst.left.links if l.dim == 0]
+    match, host = spoil(complete_match(inst, square_gmap), square_gmap, zero)
+    before = serialize_gmap(host)
+    with pytest.raises(MatchError) as exc:
+        apply_rule(inst, host, match, [MIDPOINT, parse_directive("pos:n2=midpoint(n0)")])
+    assert str(exc.value) == "match does not agree with the host's links"
+    assert serialize_gmap(host) == before
+
+
 def test_match_via_rule_seed(vi_rule, square_gmap):
     inst = instantiate_rule(vi_rule, square_gmap, "v1e1-2f0")
     m = complete_match(inst, square_gmap)
