@@ -27,18 +27,17 @@ from .textio import (
 )
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("GMAP_COLOR", "1") != "0" and sys.stdout.isatty()
-
-
-def _paint(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+def _say(text: str, code: str, file=None) -> None:
+    """Print ``text`` to ``file`` (stdout when ``None``), in ANSI color
+    ``code`` when that stream is a terminal and ``GMAP_COLOR`` is not 0."""
+    file = file or sys.stdout
+    if os.environ.get("GMAP_COLOR", "1") != "0" and file.isatty():
+        text = f"\x1b[{code}m{text}\x1b[0m"
+    print(text, file=file)
 
 
 def _fail(exc: GmapError) -> int:
-    print(_paint(f"{exc.code} {exc}", "31"), file=sys.stderr)
+    _say(f"{exc.code} {exc}", "31", sys.stderr)
     if isinstance(exc, PostValidationError):
         for line in exc.report.lines():
             print(line, file=sys.stderr)
@@ -72,10 +71,10 @@ def _parse_dims(text: str) -> OrbitType:
 def cmd_validate(args) -> int:
     report = _load_gmap(args.file).validate()
     if report.ok:
-        print(_paint("ok", "32"))
+        _say("ok", "32")
         return 0
     for line in report.lines():
-        print(_paint(line, "31"))
+        _say(line, "31")
     return 1
 
 
@@ -211,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except GmapError as exc:
         return _fail(exc)
     except OSError as exc:
-        print(_paint(f"E_IO {exc}", "31"), file=sys.stderr)
+        _say(f"E_IO {exc}", "31", sys.stderr)
         return 1
 
 

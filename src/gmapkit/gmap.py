@@ -242,8 +242,11 @@ class Gmap:
     dimensions in range); the topological constraints are checked by
     :meth:`validate`, which reports violations as data.
 
-    Only :func:`~gmapkit.rewrite.apply_rule` marks the maps it returns
-    known-valid (``_known_valid``); editing one in place voids the mark.
+    A clean :meth:`validate` marks a map known-valid (``_known_valid``),
+    as :func:`~gmapkit.rewrite.apply_rule` marks the maps it returns, so a
+    rewrite of it checks only the darts near the rewrite.  New, parsed
+    and copied maps are unmarked; a marked map edited in place must be
+    validated again before it is rewritten.
     """
 
     def __init__(self, graph: LabeledGraph, embeddings: Iterable[EmbeddingLayer] = ()):
@@ -371,8 +374,12 @@ class Gmap:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Full scan for incidence, cycle, and embedding violations."""
-        return self._report()
+        """Full scan for incidence, cycle, and embedding violations.  Marks
+        the map known-valid exactly when it finds none; the report is not
+        kept, so every call scans the whole map."""
+        report = self._report()
+        self._known_valid = report.ok
+        return report
 
     def _report(
         self,
@@ -546,10 +553,10 @@ class Gmap:
                     members.append(v)
         return members
 
-    def _validate_rewritten(self, touched: set[str]) -> ValidationReport:
-        """:meth:`validate` of a map made from a valid map by a rewrite that
-        changed links only at the darts ``touched``, by :meth:`_report` on the
-        darts near them.
+    def _validate_rewritten(self, touched: set[str], host: "Gmap | None" = None) -> ValidationReport:
+        """:meth:`validate` of a map made from ``host`` (a valid map when
+        ``None``) by a rewrite that changed links only at the darts
+        ``touched``; if ``host`` is valid, by :meth:`_report` near them.
 
         Other darts keep one link per dimension, and orbits without a
         touched dart keep their values: incidence and embeddings are
@@ -559,10 +566,13 @@ class Gmap:
         that is its first or second, third, or fourth link.  The α test of
         a pivot reads entries up to 2 links from it, so the α arrays are
         filled that far past the pivots.  A pivot region that reaches the
-        whole map gets the full scan.
+        whole map gets the full scan alone.  Otherwise an unmarked ``host``
+        is validated first (and so marked if clean); an invalid one's
+        result gets the full scan.
         """
         pivots = self._ball(touched, _PIVOT_RADIUS)
-        if len(pivots) == len(self.graph):
+        whole = len(pivots) == len(self.graph)
+        if whole or not (host is None or host._known_valid or host.validate().ok):
             return self.validate()
         return self._report(touched, pivots, self._ball(pivots, _TEST_RADIUS))
 

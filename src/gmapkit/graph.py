@@ -57,10 +57,6 @@ class Link:
     ends: tuple[str, ...]
     id: str
 
-    @property
-    def is_loop(self) -> bool:
-        return len(self.ends) == 1
-
     def other_end(self, node: str) -> str:
         """The end opposite ``node``; the node itself for a loop."""
         first, last = self.ends[0], self.ends[-1]

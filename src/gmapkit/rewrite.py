@@ -20,10 +20,11 @@ the host, which never changes the host: the copy's graph shares each
 dart's link tuple with the host (:meth:`LabeledGraph.copy`), and the
 edit builds one new tuple per dart it touches.  The result is then
 validated: instantiation alone does not guarantee it is a generalized
-map, so the check is mandatory.  Its result is marked known-valid, and
-on such a host the check covers only the darts near the rewrite
-(``Gmap._validate_rewritten``), with the same report; any other host is
-validated in full.
+map, so the check is mandatory.  On a valid host it covers only the
+darts near the rewrite (``Gmap._validate_rewritten``), with the same
+report.  A host is known valid once a clean ``Gmap.validate`` or this
+module has marked it; an unmarked host is validated in full once, which
+marks it if it is clean, and an invalid one's result in full.
 """
 
 from __future__ import annotations
@@ -284,9 +285,10 @@ def apply_rule(
     created dart lacks a value for some layer, and
     :class:`PostValidationError` (carrying the full report) when the
     result violates the generalized-map constraints.  When ``gmap`` is
-    itself a result of this function, only the darts near the rewrite
-    are checked, which finds the same violations.  Returned maps are
-    marked as such; the host is never changed.
+    valid, only the darts near the rewrite are checked, which finds the
+    same violations; an unmarked ``gmap`` is validated first, which
+    marks it when it is clean (see :class:`Gmap`).  Returned maps are
+    marked; the host is never changed, only marked.
     """
     if match is None:
         match = complete_match(rule, gmap)
@@ -366,7 +368,7 @@ def apply_rule(
 
     # links changed only at preserved and created darts
     touched = set(resolve.values())
-    report = result._validate_rewritten(touched) if gmap._known_valid else result.validate()
+    report = result._validate_rewritten(touched, gmap)
     if not report.ok:
         raise PostValidationError(
             f"rewrite by {rule.rule.name!r} produced {len(report)} constraint violations",

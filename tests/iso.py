@@ -15,8 +15,8 @@ def links_between(g: LabeledGraph, u: str, v: str, dim: int | None = None) -> tu
 
 
 def _node_profile(g: LabeledGraph, node: str) -> tuple:
-    # invariant under isomorphism: multiset of (dim, is_loop) around the node
-    return tuple(sorted((l.dim, l.is_loop) for l in g.incident_links(node)))
+    # invariant under isomorphism: multiset of (dim, is a loop) around the node
+    return tuple(sorted((l.dim, len(l.ends) == 1) for l in g.incident_links(node)))
 
 
 def _pair_counts(g: LabeledGraph, u: str, v: str) -> dict[int, int]:

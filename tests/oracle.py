@@ -316,7 +316,7 @@ def oracle_match(
     def ok_so_far(y: str) -> bool:
         # check every pattern link between y and an assigned node
         for link in pattern.incident_links(y):
-            if link.is_loop:
+            if len(link.ends) == 1:
                 if not links_between(g.graph, mapping[y], mapping[y], link.dim):
                     return False
                 continue
@@ -341,7 +341,7 @@ def oracle_match(
             if x in mapping:
                 continue
             for link in pattern.incident_links(x):
-                if not link.is_loop and link.other_end(x) in mapping:
+                if len(link.ends) != 1 and link.other_end(x) in mapping:
                     return x
         for x in nodes:
             if x not in mapping:
@@ -350,7 +350,7 @@ def oracle_match(
 
     def candidates(x: str) -> list[str]:
         for link in pattern.incident_links(x):
-            if not link.is_loop and link.other_end(x) in mapping:
+            if len(link.ends) != 1 and link.other_end(x) in mapping:
                 anchor = mapping[link.other_end(x)]
                 return sorted(
                     l.other_end(anchor)
@@ -433,7 +433,7 @@ def reference_extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str,
         a = mapping[x]
         for link in pattern.incident_links(x):
             b = _forced(gmap, a, link.dim)
-            if link.is_loop:
+            if len(link.ends) == 1:
                 if b != a:
                     raise MatchError(
                         f"pattern has a {link.dim}-loop at {x!r} but host dart "
@@ -521,7 +521,7 @@ def _far_dims(n: int, i: int) -> list[int]:
 
 def _loop_at(graph: LabeledGraph, dart: str, dim: int) -> bool:
     links = graph.incident_links(dart, dim)
-    return len(links) == 1 and links[0].is_loop
+    return len(links) == 1 and len(links[0].ends) == 1
 
 
 def _sew_map(g: Gmap, d1: str, d2: str, dims: list[int]) -> dict[str, str] | None:

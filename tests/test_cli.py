@@ -1,5 +1,6 @@
 """CLI contract: exit codes, stable error lines, file outputs."""
 
+import io
 import os
 import shutil
 import subprocess
@@ -320,6 +321,24 @@ def test_no_ansi_when_disabled(workdir, capsys):
     main(["validate", "broken_incidence.gmap"])
     out = capsys.readouterr()
     assert "\x1b[" not in out.out + out.err
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_only_a_terminal_stream_is_colored(workdir, capsys, monkeypatch):
+    # stdout is a terminal, stderr a file: the error line has no color codes
+    monkeypatch.setenv("GMAP_COLOR", "1")
+    monkeypatch.setattr(sys, "stdout", _Terminal())
+    assert main(["validate", "nope.gmap"]) == 1
+    assert capsys.readouterr().err.startswith("E_IO ")
+    assert main(["validate", "broken_incidence.gmap"]) == 1
+    assert sys.stdout.getvalue().startswith("\x1b[31mE_INCIDENCE")
+    assert main(["apply", "broken_double_zero.jrule", "square.gmap", "--dart", "v0e0-1f0", "-o", "o.gmap"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_") and "\x1b[" not in err
 
 
 def test_unknown_link_end_is_named_in_written_order(tmp_path):

@@ -17,14 +17,14 @@ def test_triangle_unification_counts():
     assert len(by_dim[0]) == 3
     assert len(by_dim[1]) == 3
     assert len(by_dim[2]) == 6
-    assert all(l.is_loop for l in by_dim[2])
+    assert all(len(l.ends) == 1 for l in by_dim[2])
     assert [len(g.cells(i)) for i in range(3)] == [3, 3, 1]
 
 
 def test_two_triangles_share_one_edge():
     g = unify(two_triangles_mesh())
     assert len(g.darts) == 12
-    non_loop_2 = [l for l in g.graph.links if l.dim == 2 and not l.is_loop]
+    non_loop_2 = [l for l in g.graph.links if l.dim == 2 and len(l.ends) != 1]
     assert len(non_loop_2) == 2
     # the two 2-links pair the shared-edge darts across the faces
     for link in non_loop_2:

@@ -321,3 +321,47 @@ def test_apply_rule_is_the_set_definition(seed, n, data):
         if out is not None and anchor in out.graph:
             host = out if data.draw(st.booleans()) else parse_gmap(said)
             again = True
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.data())
+def test_a_host_marked_by_validate_rewrites_as_an_unmarked_copy(seed, n, data):
+    # a valid map, or one with a link taken out, which validate() leaves unmarked
+    host = random_valid_gmap(seed, n=n, max_darts=24)
+    links = [(l.dim, l.ends) for l in host.graph.links]
+    if data.draw(st.booleans()):
+        del links[data.draw(st.integers(0, len(links) - 1))]
+    host = Gmap(LabeledGraph.build(n, host.darts, links))
+    if data.draw(st.booleans()):
+        host = _tagged(host, OrbitType(tuple(sorted(data.draw(st.sets(st.integers(0, n)))))), data.draw)
+    rules = st.sampled_from(RULES + [DUAL]) | pendant_rules(n) | erase_rules(n)
+    for _ in range(data.draw(st.integers(1, 3))):
+        report = host.validate()
+        assert host._known_valid == report.ok
+        plain = parse_gmap(serialize_gmap(host))
+        assert not plain._known_valid
+        rule = data.draw(rules)
+        anchor = data.draw(st.sampled_from(sorted(host.darts)))
+        outcomes = []
+        directives = None
+        for g in (host, plain):
+            try:  # instantiated on each: the re-parsed map numbers its links anew
+                inst = instantiate_rule(rule, g, anchor)
+                match = complete_match(inst, g)
+            except GmapError as exc:
+                outcomes.append((None, (type(exc), str(exc))))
+                continue
+            if directives is None:  # drawn once, for the names both instances create
+                created = sorted({split_instance(q)[1] for q in inst.right_only} if g.embeddings else ())
+                matched = sorted({split_instance(x)[1] for x in inst.left.nodes})
+                kinds = st.sampled_from(["constant(0)", "constant(1)"] + [f"inherit({m})" for m in matched])
+                directives = [parse_directive(f"tag:{c}={data.draw(kinds)}") for c in created]
+            outcomes.append(_outcome(apply_rule, inst, g, match, directives))
+            if g is host:  # and as the set definition, checked in full, has it
+                assert outcomes[0][1] == _outcome(oracle_apply, inst, g, match, directives)[1]
+        (out, said), (plain_out, plain_said) = outcomes
+        assert said == plain_said
+        if out is None or not out.darts:
+            break
+        assert out._known_valid and plain_out._known_valid
+        host = parse_gmap(said)

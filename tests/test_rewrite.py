@@ -21,7 +21,7 @@ from gmapkit import (
 )
 
 from conftest import fixture_text, square_mesh
-from gmapkit.mesh import unify
+from gmapkit.mesh import PolygonalMesh, unify
 
 MIDPOINT = parse_directive("pos:n1=midpoint(n0)")
 
@@ -277,8 +277,62 @@ def test_unmarked_broken_host_gets_a_full_report(vi_rule):
 def test_failed_rewrite_leaves_a_known_valid_host_as_it_was(broken_rule, vi_rule, square_gmap):
     inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
     host = apply_rule(inst, square_gmap, directives=[MIDPOINT])
-    assert host._known_valid and not square_gmap._known_valid
+    # the clean unmarked host was validated once, which marks it
+    assert host._known_valid and square_gmap._known_valid
     before = serialize_gmap(host)
     with pytest.raises(PostValidationError):
         apply_rule(instantiate_rule(broken_rule, host, "v0e0-1f0"), host, directives=[MIDPOINT])
     assert host._known_valid and serialize_gmap(host) == before
+
+
+def _strip(k):
+    """k unit squares in a row: a map on which a vertex insertion's check
+    region is not the whole map."""
+    verts = tuple((float(x), float(y), 0.0) for y in (0, 1) for x in range(k + 1))
+    return unify(PolygonalMesh(verts, tuple((x, x + 1, k + 2 + x, k + 1 + x) for x in range(k))))
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The calls of ``Gmap._report`` on a whole map, by map."""
+    calls = []
+    report = Gmap._report
+
+    def counted(self, *args):
+        if not args:
+            calls.append(self)
+        return report(self, *args)
+
+    monkeypatch.setattr(Gmap, "_report", counted)
+    return calls
+
+
+def test_ten_rewrites_of_one_parsed_host_scan_it_once(vi_rule, full_scans):
+    host = parse_gmap(serialize_gmap(_strip(8)))
+    assert not host._known_valid
+    for dart in sorted(host.darts)[::6][:10]:
+        out = apply_rule(instantiate_rule(vi_rule, host, dart), host, directives=[MIDPOINT])
+        assert out._known_valid and len(out.darts) in (len(host.darts) + 2, len(host.darts) + 4)
+    assert full_scans == [host] and host._known_valid
+
+
+def test_dual_of_an_unmarked_host_is_one_full_scan(full_scans):
+    dual = parse_rule_scheme("rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <2,1,0> } }")
+    host = Gmap(_strip(3).graph)
+    out = apply_rule(instantiate_rule(dual, host, sorted(host.darts)[0]), host)
+    assert full_scans == [out] and out._known_valid and not host._known_valid
+
+
+def test_broken_host_stays_unmarked_and_its_rewrite_gets_a_full_report(vi_rule, full_scans):
+    strip = _strip(8)
+    # a lone dart z with no 2-link, far from every rewrite
+    links = [(l.dim, l.ends) for l in strip.graph.links] + [(0, ["z"]), (1, ["z"])]
+    broken = Gmap(LabeledGraph.build(2, strip.darts + ("z",), links))
+    want = ["E_INCIDENCE dart=z dim=2 found=0"]
+    for dart in sorted(strip.darts)[:2]:
+        with pytest.raises(PostValidationError) as exc:
+            apply_rule(instantiate_rule(vi_rule, broken, dart), broken)
+        assert exc.value.report.lines() == want and not broken._known_valid
+    # each rewrite scans the host, then its result
+    assert full_scans[0::2] == [broken, broken] and broken not in full_scans[1::2]
+    assert broken.validate().lines() == want and not broken._known_valid
