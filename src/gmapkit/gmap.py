@@ -454,7 +454,7 @@ class Gmap:
 
         for layer in self.embeddings.values():
             starts = self._embedding_screen(layer, alpha, invalid) if darts is None else darts
-            violations.extend(self._embedding_violations(layer, starts, alpha))
+            violations.extend(self._embedding_violations(layer, starts))
         return ValidationReport(tuple(violations))
 
     def _cycle_violations(self, pivots: Iterable[str]) -> list[CycleViolation]:
@@ -509,24 +509,22 @@ class Gmap:
         return starts
 
     def _embedding_violations(
-        self, layer: EmbeddingLayer, darts: Iterable[str], alpha: list[dict[str, str]]
+        self, layer: EmbeddingLayer, darts: Iterable[str]
     ) -> list[EmbeddingViolation]:
-        """The layer's violations on the orbits of ``darts``, walked on the α
-        arrays of :meth:`_report`; an orbit that reaches a dart without
-        entries is read from :meth:`orbit_darts`.  An orbit violates the
-        layer when a value differs from its first dart's by more than the
-        tolerance of :func:`values_equal`.  ``darts`` are those of the
-        exact screen on a full scan, and the touched darts, whose orbits
-        may have drifted, on a local one."""
-        domain = layer.domain
-        arrays = [alpha[k] for k in domain] if alpha else [{} for _ in domain]
+        """The layer's violations on the orbits of ``darts``, each walked by
+        :meth:`LabeledGraph.reach`.  An orbit violates the layer when a
+        value differs from its first dart's by more than the tolerance of
+        :func:`values_equal`.  ``darts`` are those of the exact screen on a
+        full scan, and the touched darts, whose orbits may have drifted, on
+        a local one."""
+        reach, dims = self.graph.reach, set(layer.domain)
         values, kind = layer.values, layer.value_type
         out = []
         seen: set[str] = set()
         for d in darts:
             if d in seen:
                 continue
-            orbit = tuple(sorted(self._alpha_orbit(arrays, domain, d)))
+            orbit = tuple(sorted(reach((d,), dims)))
             seen.update(orbit)
             found = [values[x] for x in orbit]
             rep = found[0]
@@ -536,22 +534,6 @@ class Gmap:
             if bad:
                 out.append(EmbeddingViolation(layer.name, orbit, bad))
         return out
-
-    def _alpha_orbit(self, arrays: list[dict[str, str]], domain: OrbitType, d: str) -> Iterable[str]:
-        """The darts of the ``domain``-orbit of ``d``, walked on ``arrays``,
-        its dimensions' α arrays; from :meth:`orbit_darts` if the walk
-        reaches a dart without entries."""
-        members = [d]
-        seen = {d}
-        for u in members:  # grows while read: the walk's queue
-            for a in arrays:
-                v = a.get(u)
-                if v is None:
-                    return self.orbit_darts(domain, d)
-                if v not in seen:
-                    seen.add(v)
-                    members.append(v)
-        return members
 
     def _validate_rewritten(self, touched: set[str], host: "Gmap | None" = None) -> ValidationReport:
         """:meth:`validate` of a map made from ``host`` (a valid map when

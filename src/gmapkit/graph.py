@@ -10,10 +10,10 @@ Each node keeps one tuple of its incident links (a loop once), in the
 canonical order ``(dim, ends, id)``.  That is the natural order of
 :class:`Link`, so no read has to sort.
 
-:meth:`LabeledGraph.reach` is the one traversal, for orbits, orbit-graph
-connectivity and match completion.  Its BFS order is a contract: the
-starts first, in order and deduplicated, then at each node its links in
-canonical order, each link's ends in sorted order.
+:meth:`LabeledGraph.reach` is the one traversal, for orbits, embedding
+checks, orbit-graph connectivity and match completion.  Its BFS order
+is a contract: the starts first, in order and deduplicated, then at each
+node its links in canonical order, each link's ends in sorted order.
 
 There is one write, the in-place :meth:`LabeledGraph._edit`: it removes
 links by id and nodes, then adds nodes and links.  It gathers each
@@ -21,9 +21,9 @@ touched node's new links in a list and, at the end, replaces the node's
 tuple once with its kept links plus those, sorted.
 :meth:`LabeledGraph.build` is that edit on an empty graph.  Only the
 library itself edits in place: rule application on a
-:meth:`~LabeledGraph.copy` of the host graph, and ``parse_gmap``.  The
-one-item forms ``_add_node`` and ``_add_link`` serve the tests, the
-frozen token-by-token ``.gmap`` parser among them.
+:meth:`~LabeledGraph.copy` of the host graph, and ``parse_gmap``.  A
+one-item edit, ``_edit(nodes=(name,))`` or ``_edit(links=((dim, ends),))``,
+adds one node or link.
 
 A node's tuple never changes.  A copy shares every tuple with its
 original, so copying costs two dict copies; an orbit graph (``_sub``)
@@ -102,7 +102,7 @@ class LabeledGraph:
 
         The result, link ids and per-node tuples included, and the first
         error raised are those of adding the nodes and then the links one
-        by one with :meth:`_add_node` and :meth:`_add_link`."""
+        by one, each with a one-item :meth:`_edit`."""
         g = cls(ambient_dimension)
         g._edit(nodes=nodes, links=links)
         return g
@@ -214,12 +214,6 @@ class LabeledGraph:
                 at.extend([l for l in adj[u] if l.id not in gone] if gone else adj[u])
                 at.sort(key=_CANONICAL)
                 adj[u] = tuple(at)
-
-    def _add_node(self, name: str) -> None:
-        self._edit(nodes=(name,))
-
-    def _add_link(self, ends: Iterable[str], dim: int) -> None:
-        self._edit(links=((dim, ends),))
 
     def _checked_ends(self, ends: tuple[str, ...], dim: int) -> tuple[str, ...]:
         """The sorted distinct ends of a new link, after its checks."""

@@ -110,11 +110,5 @@ class RelabelingFunction:
     def mapping(self) -> dict[int, Entry]:
         return dict(zip(self.source, self.target))
 
-    def __call__(self, dim: int) -> Entry:
-        try:
-            return self.mapping[dim]
-        except KeyError:
-            raise RelabelingError(f"dimension {dim} not in domain {self.source}") from None
-
     def __repr__(self) -> str:
         return f"{self.source!r}->{self.target!r}"

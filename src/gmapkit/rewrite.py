@@ -128,12 +128,10 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
     return Match(mapping, links)
 
 
-def complete_match(rule: InstantiatedRule, gmap: Gmap, seed: Mapping[str, str] | None = None) -> Match:
-    """Complete a match of ``rule.left``; defaults to seeding the hook
-    copy of the anchor dart onto the anchor itself."""
-    if seed is None:
-        seed = rule.seed()
-    return extend_match(rule.left, gmap, seed)
+def complete_match(rule: InstantiatedRule, gmap: Gmap) -> Match:
+    """Complete a match of ``rule.left`` seeded with the hook copy of the
+    anchor dart on the anchor itself."""
+    return extend_match(rule.left, gmap, rule.seed())
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,8 @@ class _Tokenizer:
             self._pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
+    def error(self, message: str):
+        tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
     def expect(self, kind: str) -> _Token:
@@ -185,7 +185,7 @@ def serialize_gmap(g: Gmap) -> str:
         lines.append("embeddings {")
         for name in sorted(g.embeddings):
             layer = g.embeddings[name]
-            if not _RULE_IDENT.fullmatch(name):
+            if not _GMAP_IDENT.fullmatch(name):
                 raise GmapError(f"layer name {name!r} is not serializable")
             lines.append(f"  {name} {{")
             dims = " ".join(str(d) for d in layer.domain)

@@ -38,7 +38,7 @@ from gmapkit.gmap import (
 )
 from gmapkit.graph import LabeledGraph
 from gmapkit.orbits import REMOVE, OrbitType, RelabelingFunction
-from gmapkit.rewrite import EmbeddingDirective, Match, complete_match
+from gmapkit.rewrite import EmbeddingDirective, Match, extend_match
 from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name, split_instance
 
 from iso import links_between
@@ -497,7 +497,7 @@ def check_match_agreement(
     if len(morphisms) > 1:
         return OracleReport(prop, instance, False, f"{len(morphisms)} morphisms from one seed")
     try:
-        completed = complete_match(rule, g, seed).mapping
+        completed = extend_match(rule.left, g, seed).mapping
     except MatchError as exc:
         if morphisms:
             return OracleReport(
@@ -579,7 +579,7 @@ def random_valid_gmap(seed: int, n: int = 2, max_darts: int = 16) -> Gmap:
         for x, y in pairing.items():
             candidate._edit(drop=[candidate.incident_links(x, i)[0].id])
             candidate._edit(drop=[candidate.incident_links(y, i)[0].id])
-            candidate._add_link({x, y}, i)
+            candidate._edit(links=((i, {x, y}),))
         if Gmap(candidate).validate().ok:  # safety net; sews should preserve validity
             graph = candidate
 

@@ -162,7 +162,7 @@ def reference_parse_gmap(text: str) -> Gmap:
     while tz.peek().kind == "IDENT":
         tok = tz.next()
         try:
-            graph._add_node(tok.text)
+            graph._edit(nodes=(tok.text,))
         except GmapError as exc:
             raise ParseError(str(exc), tok.line, tok.column) from exc
     tz.expect("}")
@@ -177,7 +177,7 @@ def reference_parse_gmap(text: str) -> Gmap:
         if tz.peek().kind == "IDENT":
             ends.append(tz.next().text)
         try:
-            graph._add_link(ends, dim)
+            graph._edit(links=((dim, ends),))
         except GmapError as exc:
             exc.args = (f"{exc.args[0]} (line {tok.line})",) + exc.args[1:]
             raise

@@ -134,6 +134,20 @@ def test_apply_end_to_end(workdir, capsys):
     assert main(["validate", "out.gmap"]) == 0
 
 
+def test_apply_writes_a_layer_name_the_gmap_identifier_reads(workdir, capsys):
+    shutil.copy(FIXTURES / "vertex_insert_2.jrule", workdir)
+    text = (workdir / "square.gmap").read_text().replace("  pos {", "  my-pos {")
+    (workdir / "it.gmap").write_text(text)
+    assert main(["validate", "it.gmap"]) == 0
+    ebd = ["--ebd", "my-pos:n1=midpoint(n0)", "--ebd", "my-pos:n2=midpoint(n0)"]
+    argv = ["apply", "vertex_insert_2.jrule", "it.gmap", "--dart", "v0e0-1f0"]
+    assert main(argv + ebd + ["-o", "out.gmap"]) == 0
+    assert capsys.readouterr().err == ""
+    out = parse_gmap((workdir / "out.gmap").read_text())
+    assert list(out.embeddings) == ["my-pos"]
+    assert main(["validate", "out.gmap"]) == 0
+
+
 def test_apply_broken_scheme_reports_postvalidation(workdir, capsys):
     rc = main(
         [

@@ -18,7 +18,7 @@ from gmapkit import (
     parse_directive,
     serialize_gmap,
 )
-from gmapkit.mesh import unify
+from gmapkit.mesh import PolygonalMesh, unify
 
 from conftest import fixture_text, free_edge_graph, sewn_edge_graph
 from gmapkit import parse_gmap
@@ -356,6 +356,22 @@ def test_drift_across_a_new_link_is_reported_by_the_local_check():
     )
     want = ["E_EMBED layer=h orbit={C,a,w,y,z} darts=w"]
     assert g._validate_rewritten({"z", "C"}).lines() == want
+    assert g.validate().lines() == want
+
+
+def test_an_orbit_longer_than_the_checked_region_is_walked_whole():
+    # a wheel of 8 triangles round vertex 0: its 16 hub darts are one <1,2>
+    # orbit, and the hub dart half-way round it is outside the region whose
+    # α entries the local check of the first hub dart fills
+    hub_and_rim = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (-1, 1, 0), (-1, 0, 0), (-1, -1, 0), (0, -1, 0), (1, -1, 0)]
+    g = unify(PolygonalMesh(hub_and_rim, [(0, i, i % 8 + 1) for i in range(1, 9)]))
+    first = min(d for d in g.darts if d.startswith("v0e"))
+    hub = g.orbit_darts(OrbitType((1, 2)), first)
+    far = hub[-1]
+    assert len(hub) == 16 and far not in g._ball(g._ball({first}, 2), 2)
+    g.embeddings["pos"].values[far] = (0.5, 0.5, 0.0)
+    want = [f"E_EMBED layer=pos orbit={{{','.join(sorted(hub))}}} darts={far}"]
+    assert g._validate_rewritten({first}).lines() == want
     assert g.validate().lines() == want
 
 

@@ -92,7 +92,7 @@ def test_add_then_remove_link_restores_graph():
     for g in (free_edge_graph(), sewn_edge_graph()):
         before = g.copy()
         bigger = g.copy()
-        bigger._add_link({g.nodes[0]}, 1)
+        bigger._edit(links=((1, {g.nodes[0]}),))
         new_ids = {l.id for l in bigger.links} - {l.id for l in g.links}
         (new_id,) = new_ids
         assert [l.dim for l in bigger.links if l.id == new_id] == [1]
@@ -257,9 +257,9 @@ def _one_by_one(n, nodes, links):
     g = LabeledGraph(n)
     try:
         for name in nodes:
-            g._add_node(name)
+            g._edit(nodes=(name,))
         for dim, ends in links:
-            g._add_link(ends, dim)
+            g._edit(links=((dim, ends),))
     except GmapError as exc:
         return type(exc), str(exc)
     return list(g._adj.items()), list(g._links.items())
@@ -331,9 +331,9 @@ def _batched_edit(rng, g, n, step):
     for name in drop_nodes:
         one_by_one._edit(drop_nodes=[name])
     for name in nodes:
-        one_by_one._add_node(name)
+        one_by_one._edit(nodes=(name,))
     for dim, ends in links:
-        one_by_one._add_link(ends, dim)
+        one_by_one._edit(links=((dim, ends),))
     g._edit(drop, drop_nodes, nodes, links)
     assert _identity(g) == _identity(one_by_one)
 
@@ -356,13 +356,14 @@ def test_incident_links_agree_with_a_scan_under_random_edits():
             if rng.random() < 0.25:
                 _batched_edit(rng, h, n, step)
             elif op < 0.5 and h.nodes:
-                h._add_link({rng.choice(h.nodes), rng.choice(h.nodes)}, rng.randint(0, n))
+                ends = {rng.choice(h.nodes), rng.choice(h.nodes)}
+                h._edit(links=((rng.randint(0, n), ends),))
             elif op < 0.75 and h.links:
                 h._edit(drop=[rng.choice(h.links).id])
             elif op < 0.85 and h.nodes:
                 h._edit(drop_nodes=[rng.choice(h.nodes)])
             else:
-                h._add_node(f"w{step}")
+                h._edit(nodes=(f"w{step}",))
         for u in h.nodes:
             assert list(h.incident_links(u)) == _scanned(h, u)
             for d in range(n + 1):
@@ -396,13 +397,14 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
             if rng.random() < 0.25:
                 _batched_edit(rng, x, n, step)
             elif op < 0.4 and x.nodes:
-                x._add_link({rng.choice(x.nodes), rng.choice(x.nodes)}, rng.randint(0, n))
+                ends = {rng.choice(x.nodes), rng.choice(x.nodes)}
+                x._edit(links=((rng.randint(0, n), ends),))
             elif op < 0.7 and x.links:
                 x._edit(drop=[rng.choice(x.links).id])
             elif op < 0.85 and x.nodes:
                 x._edit(drop_nodes=[rng.choice(x.nodes)])
             else:
-                x._add_node(f"w{step}")
+                x._edit(nodes=(f"w{step}",))
             assert all(type(t) is tuple for t in x._adj.values())
             for j, y in enumerate(generations):
                 if j != i:

@@ -290,7 +290,7 @@ def test_disconnected_left_needs_a_seed_per_component(square_gmap):
     seed.update(
         {name: free[i] for i, name in enumerate(sorted(inst.left.nodes) ) if name.endswith("@nx")}
     )
-    m = complete_match(inst, square_gmap, seed)
+    m = extend_match(inst.left, square_gmap, seed)
     assert len(m.image) == 4
 
 

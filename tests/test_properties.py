@@ -6,6 +6,8 @@ of rewrites leaves every earlier map as it was, and a rewrite of a
 known-valid host (checked locally) ends as the same rewrite of an
 unmarked copy (checked in full)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,9 @@ def test_mutated_rule_text_parses_or_raises_gmap_error(text):
         pass
 
 
+LAYER_NAMES = ["label", "pos", "my-pos", "l@1#2", "_-#"]
+
+
 @st.composite
 def layered_gmaps(draw):
     g = random_valid_gmap(draw(st.integers(0, 10_000)), n=2, max_darts=8)
@@ -82,13 +87,15 @@ def layered_gmaps(draw):
     coords = st.floats(allow_nan=False, allow_infinity=False)
     labels = {d: draw(st.text(alphabet=st.sampled_from('"\\\n\t') | st.characters())) for d in darts}
     points = {d: draw(st.tuples(coords, coords, coords)) for d in darts}
+    # any name the .gmap identifier reads, "-", "@" and "#" included
+    names = draw(st.lists(st.sampled_from(LAYER_NAMES), min_size=2, max_size=2, unique=True))
     # one orbit per dart, so the layers keep the map valid
     none = OrbitType(())
     return Gmap(
         g.graph,
         [
-            EmbeddingLayer("label", none, "string", labels),
-            EmbeddingLayer("pos", none, "point3d", points),
+            EmbeddingLayer(names[0], none, "string", labels),
+            EmbeddingLayer(names[1], none, "point3d", points),
         ],
     )
 
@@ -263,7 +270,10 @@ def test_local_post_validation_agrees_with_full_validation(seed, n, data):
         except GmapError as exc:
             plain_out, plain_said = None, (type(exc), str(exc))
         else:
-            plain_out, plain_said = _outcome(apply_rule, plain_inst, plain, None, directives)
+            # the full side: the rewritten map is scanned whole
+            full = lambda self, touched, host=None: self.validate()
+            with mock.patch.object(Gmap, "_validate_rewritten", full):
+                plain_out, plain_said = _outcome(apply_rule, plain_inst, plain, None, directives)
         assert said == plain_said
         if out is not None:
             assert out == plain_out
