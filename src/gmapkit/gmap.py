@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -39,6 +40,10 @@ from .errors import (
 )
 from .graph import LabeledGraph, Link
 from .orbits import OrbitType
+
+#: A .gmap name (a dart or a layer), and a character of one after its first.
+_GMAP_CHAR = "[A-Za-z0-9_@#-]"
+_GMAP_IDENT = re.compile(rf"[A-Za-z_]{_GMAP_CHAR}*")
 
 #: Componentwise tolerance for comparing numeric embedding values.
 POINT_TOLERANCE = 1e-9
@@ -330,7 +335,8 @@ class Gmap:
 
     def alpha(self, dart: str, dim: int) -> str:
         """The unique dart i-linked to ``dart``; ``dart`` itself on a loop."""
-        return self.alpha_link(dart, dim).other_end(dart)
+        e = self.alpha_link(dart, dim).ends
+        return e[0] if e[-1] == dart else e[-1]
 
     # -- orbits and cells --------------------------------------------------
 
@@ -535,10 +541,10 @@ class Gmap:
                 out.append(EmbeddingViolation(layer.name, orbit, bad))
         return out
 
-    def _validate_rewritten(self, touched: set[str], host: "Gmap | None" = None) -> ValidationReport:
-        """:meth:`validate` of a map made from ``host`` (a valid map when
-        ``None``) by a rewrite that changed links only at the darts
-        ``touched``; if ``host`` is valid, by :meth:`_report` near them.
+    def _validate_rewritten(self, touched: set[str], host: "Gmap") -> ValidationReport:
+        """:meth:`validate` of a map made from ``host`` by a rewrite that
+        changed links only at the darts ``touched``; if ``host`` is valid,
+        by :meth:`_report` near them.
 
         Other darts keep one link per dimension, and orbits without a
         touched dart keep their values: incidence and embeddings are
@@ -554,7 +560,7 @@ class Gmap:
         """
         pivots = self._ball(touched, _PIVOT_RADIUS)
         whole = len(pivots) == len(self.graph)
-        if whole or not (host is None or host._known_valid or host.validate().ok):
+        if whole or not (host._known_valid or host.validate().ok):
             return self.validate()
         return self._report(touched, pivots, self._ball(pivots, _TEST_RADIUS))
 

@@ -57,15 +57,6 @@ class Link:
     ends: tuple[str, ...]
     id: str
 
-    def other_end(self, node: str) -> str:
-        """The end opposite ``node``; the node itself for a loop."""
-        first, last = self.ends[0], self.ends[-1]
-        if node == first:
-            return last
-        if node == last:
-            return first
-        raise UnknownNodeError(f"node {node!r} is not an end of link {self.id}")
-
 
 #: sort key of the canonical link order, the order of :class:`Link`
 _CANONICAL = attrgetter("dim", "ends", "id")

@@ -106,9 +106,7 @@ def unify(mesh: PolygonalMesh) -> Gmap:
             next_e = face_edges[p]
             links.append((1, (dart_name(v, prev_e, m), dart_name(v, next_e, m))))
 
-    for (e, v), names in sorted(edge_sides.items()):
-        if len(names) > 2:  # unreachable: mesh invariants cap edge use at two faces
-            raise NonManifoldEdgeError(f"edge {e} borders {len(names)} faces")
+    for _, names in sorted(edge_sides.items()):
         links.append((2, tuple(names)))  # one name: a 2-loop on a boundary edge
 
     pos = EmbeddingLayer("pos", OrbitType((1, 2)), "point3d", pos_values)

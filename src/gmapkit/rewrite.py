@@ -42,9 +42,9 @@ from .errors import (
     PostValidationError,
     UnknownNodeError,
 )
-from .gmap import EmbeddingLayer, Gmap, normalize_value, values_equal
+from .gmap import _GMAP_IDENT, EmbeddingLayer, Gmap, normalize_value, values_equal
 from .graph import LabeledGraph, Link
-from .scheme import InstantiatedRule, instance_name, split_instance
+from .scheme import _NAME, InstantiatedRule, instance_name, split_instance
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class Match:
 
     def __getitem__(self, name: str) -> str:
         return self.mapping[name]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
 
 def _forced(gmap: Gmap, dart: str, dim: int) -> Link:
@@ -138,8 +135,9 @@ def complete_match(rule: InstantiatedRule, gmap: Gmap) -> Match:
 # embedding directives
 
 
+# a layer is a .gmap name, a node a scheme name
 _DIRECTIVE = re.compile(
-    r"""\s*(?P<layer>[A-Za-z_][\w-]*)\s*:\s*(?P<node>[A-Za-z_]\w*)\s*=\s*
+    rf"""\s*(?P<layer>{_GMAP_IDENT.pattern})\s*:\s*(?P<node>{_NAME.pattern})\s*=\s*
         (?P<kind>inherit|constant|midpoint)\s*\(\s*(?P<arg>[^()]*)\s*\)\s*\Z""",
     re.VERBOSE,
 )

@@ -20,14 +20,15 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import SchemeError, UnknownNodeError
+from .errors import SchemeError
 from .graph import LabeledGraph
 from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction
 
 if TYPE_CHECKING:
     from .gmap import Gmap
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+#: A scheme name: a rule or a scheme node.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def instance_name(orbit_dart: str, scheme_node: str) -> str:
@@ -66,7 +67,7 @@ class GraphScheme:
         if len(set(names)) != len(names):
             raise SchemeError(f"duplicate scheme node in {names}")
         for name, decoration in self.nodes:
-            if not _NAME.match(name):
+            if not _NAME.fullmatch(name):
                 raise SchemeError(f"bad scheme node name {name!r}")
             if len(decoration) != len(self.parameter):
                 raise SchemeError(
@@ -86,12 +87,6 @@ class GraphScheme:
     def node_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.nodes)
 
-    def decoration(self, name: str) -> GeneralizedOrbitType:
-        for n, deco in self.nodes:
-            if n == name:
-                return deco
-        raise SchemeError(f"unknown scheme node {name!r}")
-
 
 @dataclass(frozen=True)
 class RuleScheme:
@@ -109,13 +104,13 @@ class RuleScheme:
     hook: str
 
     def __post_init__(self):
-        if not _NAME.match(self.name):
+        if not _NAME.fullmatch(self.name):
             raise SchemeError(f"bad rule name {self.name!r}")
         if self.left.parameter != self.parameter or self.right.parameter != self.parameter:
             raise SchemeError("left/right schemes must share the rule parameter")
         if self.hook not in self.left.node_names:
             raise SchemeError(f"hook {self.hook!r} is not a left node")
-        if self.left.decoration(self.hook).has_remove:
+        if dict(self.left.nodes)[self.hook].has_remove:
             raise SchemeError(f"hook {self.hook!r} must not carry the removing symbol")
 
     @property
@@ -200,9 +195,8 @@ class InstantiatedRule:
 
 def instantiate_rule(rule: RuleScheme, gmap: "Gmap", dart: str) -> InstantiatedRule:
     """Unfold both sides of ``rule`` with the parameter orbit of ``dart``."""
-    if dart not in gmap.graph:
-        raise UnknownNodeError(f"unknown dart {dart!r}")
-    # the orbit holds only parameter dims and is connected by construction
+    # the orbit holds only parameter dims and is connected by construction;
+    # its walk raises on an unknown dart
     orbit_graph = gmap.orbit(rule.parameter, dart)
     left = _instance(rule.left, orbit_graph)
     right = _instance(rule.right, orbit_graph)

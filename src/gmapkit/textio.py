@@ -30,13 +30,11 @@ from .errors import (
     SchemeError,
     UnknownLayerError,
 )
-from .gmap import EmbeddingLayer, Gmap
+from .gmap import _GMAP_CHAR, _GMAP_IDENT, EmbeddingLayer, Gmap
 from .graph import LabeledGraph
 from .orbits import REMOVE, GeneralizedOrbitType, OrbitType
-from .scheme import GraphScheme, RuleScheme, SchemeArc
+from .scheme import _NAME, GraphScheme, RuleScheme, SchemeArc
 
-_GMAP_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_@#-]*")
-_RULE_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _COMMENT = r"#[^\n]*"
@@ -48,7 +46,7 @@ _GMAP_TOKENS = re.compile(
     re.S,
 )
 _RULE_TOKENS = re.compile(
-    rf"{_SKIP}|(?P<IDENT>{_RULE_IDENT.pattern})|(?P<NUMBER>\d+)|(?P<SYMBOL>[{{}}<>,:-])|(?P<BAD>.)"
+    rf"{_SKIP}|(?P<IDENT>{_NAME.pattern})|(?P<NUMBER>\d+)|(?P<SYMBOL>[{{}}<>,:-])|(?P<BAD>.)"
 )
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -208,7 +206,7 @@ def serialize_gmap(g: Gmap) -> str:
 # and comments split in one way only and a failed match backtracks
 # through them in time linear in their length.
 _B = rf"[ \t\r\n]*(?:{_COMMENT}(?![^\n])[ \t\r\n]*)*"
-_WORD_END = r"(?![A-Za-z0-9_@#-])"
+_WORD_END = rf"(?!{_GMAP_CHAR})"
 _NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
 _ID = rf"({_GMAP_IDENT.pattern}){_WORD_END}"
 _NAT = rf"(\d+){_NUMBER_END}"

@@ -36,7 +36,7 @@ from gmapkit.gmap import (
     ValidationReport,
     values_equal,
 )
-from gmapkit.graph import LabeledGraph
+from gmapkit.graph import LabeledGraph, Link
 from gmapkit.orbits import REMOVE, OrbitType, RelabelingFunction
 from gmapkit.rewrite import EmbeddingDirective, Match, extend_match
 from gmapkit.scheme import GraphScheme, InstantiatedRule, instance_name, split_instance
@@ -300,6 +300,16 @@ def oracle_apply(
     return out
 
 
+def _other_end(link: Link, node: str) -> str:
+    """The end of ``link`` opposite ``node``; the node itself for a loop."""
+    first, last = link.ends[0], link.ends[-1]
+    if node == first:
+        return last
+    if node == last:
+        return first
+    raise UnknownNodeError(f"node {node!r} is not an end of link {link.id}")
+
+
 def oracle_match(
     pattern: LabeledGraph, g: Gmap, seed: Mapping[str, str]
 ) -> list[dict[str, str]]:
@@ -320,7 +330,7 @@ def oracle_match(
                 if not links_between(g.graph, mapping[y], mapping[y], link.dim):
                     return False
                 continue
-            z = link.other_end(y)
+            z = _other_end(link, y)
             if z not in mapping:
                 continue
             if mapping[y] == mapping[z]:
@@ -341,7 +351,7 @@ def oracle_match(
             if x in mapping:
                 continue
             for link in pattern.incident_links(x):
-                if len(link.ends) != 1 and link.other_end(x) in mapping:
+                if len(link.ends) != 1 and _other_end(link, x) in mapping:
                     return x
         for x in nodes:
             if x not in mapping:
@@ -350,10 +360,10 @@ def oracle_match(
 
     def candidates(x: str) -> list[str]:
         for link in pattern.incident_links(x):
-            if len(link.ends) != 1 and link.other_end(x) in mapping:
-                anchor = mapping[link.other_end(x)]
+            if len(link.ends) != 1 and _other_end(link, x) in mapping:
+                anchor = mapping[_other_end(link, x)]
                 return sorted(
-                    l.other_end(anchor)
+                    _other_end(l, anchor)
                     for l in g.graph.incident_links(anchor, link.dim)
                 )
         return sorted(g.darts)
@@ -440,7 +450,7 @@ def reference_extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str,
                         f"{a!r} is {link.dim}-linked to {b!r}"
                     )
                 continue
-            y = link.other_end(x)
+            y = _other_end(link, x)
             if b == a:
                 raise MatchError(
                     f"pattern link {x!r}-{link.dim}-{y!r} cannot map onto the "

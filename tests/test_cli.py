@@ -14,6 +14,7 @@ from gmapkit import ParseError, parse_gmap
 from gmapkit.cli import main
 
 from conftest import FIXTURES, fixture_text
+from reference_parse import reference_parse_gmap
 
 
 @pytest.fixture
@@ -148,6 +149,21 @@ def test_apply_writes_a_layer_name_the_gmap_identifier_reads(workdir, capsys):
     assert main(["validate", "out.gmap"]) == 0
 
 
+def test_apply_reads_a_layer_name_with_at_and_hash(workdir, capsys):
+    # --ebd reads a layer as a .gmap name, so '@' and '#' are part of it
+    shutil.copy(FIXTURES / "vertex_insert_2.jrule", workdir)
+    rename = lambda text: text.replace("  pos {", "  l@1#2 {")
+    (workdir / "it.gmap").write_text(rename((workdir / "square.gmap").read_text()))
+    for layer, host, out in (("pos", "square.gmap", "pos.gmap"), ("l@1#2", "it.gmap", "it-out.gmap")):
+        ebd = ["--ebd", f"{layer}:n1=midpoint(n0)", "--ebd", f"{layer}:n2=midpoint(n0)"]
+        argv = ["apply", "vertex_insert_2.jrule", host, "--dart", "v0e0-1f0", "-o", out]
+        assert main(argv + ebd) == 0
+        assert capsys.readouterr().err == ""
+    assert main(["validate", "it-out.gmap"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert (workdir / "it-out.gmap").read_text() == rename((workdir / "pos.gmap").read_text())
+
+
 def test_apply_broken_scheme_reports_postvalidation(workdir, capsys):
     rc = main(
         [
@@ -188,6 +204,121 @@ def test_export_obj(workdir):
     text = (workdir / "out.obj").read_text()
     assert text.count("v ") == 4
     assert text.count("f ") == 1
+
+
+def _one_error_line(capsys, argv, code, line):
+    """``main(argv)`` exits with ``code``, prints nothing to stdout and
+    exactly ``line`` to stderr."""
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == line + "\n"
+
+
+VI2 = ["apply", "vertex_insert_2.jrule", "square.gmap", "--dart", "v0e0-1f0", "-o", "out.gmap"]
+
+EBD_ERRORS = {
+    "garbage": ("garbage", "cannot parse embedding directive 'garbage'"),
+    "inherit_without_reference": (
+        "pos:n1=inherit()",
+        "directive inherit needs a reference node in 'pos:n1=inherit()'",
+    ),
+    "inherit_of_an_unmatched_node": (
+        "pos:n1=inherit(zz)",
+        "inherit(zz) for layer 'pos': 'v0e0-1f0@zz' is not matched",
+    ),
+    "midpoint_of_an_unmatched_node": (
+        "pos:n1=midpoint(zz)",
+        "midpoint(zz) for layer 'pos': 'v0e0-1f0@zz' is not matched",
+    ),
+    # a node is a scheme name, so a non-ASCII one does not parse
+    "node_outside_the_scheme_names": (
+        "pos:n\u00f6=constant(1,2,3)",
+        "cannot parse embedding directive 'pos:n\u00f6=constant(1,2,3)'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EBD_ERRORS))
+def test_directive_error_is_one_line(workdir, capsys, name):
+    shutil.copy(FIXTURES / "vertex_insert_2.jrule", workdir)
+    directive, message = EBD_ERRORS[name]
+    _one_error_line(capsys, VI2 + ["--ebd", directive], 1, f"E_EMBED {message}")
+    assert not (workdir / "out.gmap").exists()
+
+
+def test_midpoint_of_colors_is_one_line(workdir, capsys):
+    shutil.copy(FIXTURES / "vertex_insert_2.jrule", workdir)
+    argv = ["apply", "vertex_insert_2.jrule", "square_colored.gmap", "--dart", "v0e0-1f0", "-o", "out.gmap"]
+    ebd = ["--ebd", "pos:n1=midpoint(n0)", "--ebd", "col:n1=midpoint(n0)"]
+    _one_error_line(capsys, argv + ebd, 1, "E_EMBED midpoint is not defined for color_rgb values")
+
+
+OFF_ERRORS = {
+    "no_counts": ("OFF\n", "missing OFF counts line (line 1, column 1)"),
+    "two_coordinates": ("OFF\n1 0 0\n1 2\n", "vertex line must have three coordinates (line 3, column 1)"),
+    "bad_coordinate": ("OFF\n1 0 0\n1 x 2\n", "bad vertex coordinates '1 x 2' (line 3, column 1)"),
+    "wrong_vertex_count": (
+        "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n",
+        "face line must start with its vertex count (line 6, column 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_ERRORS))
+def test_off_error_is_one_line(workdir, capsys, name):
+    text, message = OFF_ERRORS[name]
+    (workdir / "bad.off").write_text(text)
+    _one_error_line(capsys, ["unify", "bad.off", "-o", "out.gmap"], 2, f"E_SYNTAX {message}")
+    assert not (workdir / "out.gmap").exists()
+
+
+# both valid: a two-cornered face, and a face of three corners whose walk
+# ends at a 1-loop
+DIGON = (
+    "dimension 2 darts { a b c d } links { 0: a b 0: c d 1: a d 1: b c 2: a 2: b 2: c 2: d }"
+    " embeddings { pos { orbit: 1 2 type: point3d values {"
+    " a: 0 0 0 b: 1 0 0 c: 1 0 0 d: 0 0 0 } } }"
+)
+OPEN_FACE = (
+    "dimension 2 darts { d0 d1 d2 d3 d4 d5 }"
+    " links { 0: d0 d1 0: d2 d3 0: d4 d5 1: d0 1: d1 d2 1: d3 d4 1: d5"
+    " 2: d0 2: d1 2: d2 2: d3 2: d4 2: d5 }"
+    " embeddings { pos { orbit: 1 2 type: point3d values {"
+    " d0: 0 0 0 d1: 1 0 0 d2: 1 0 0 d3: 1 1 0 d4: 1 1 0 d5: 0 1 0 } } }"
+)
+OBJ_ERRORS = {
+    "one_dimensional": (None, "OBJ export needs a 2-Gmap, got dimension 1"),
+    "digon": (DIGON, "face cell of 'a' has 2 corners, need >= 3"),
+    "open_face": (OPEN_FACE, "face walk from 'd0' did not close"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJ_ERRORS))
+def test_export_obj_error_is_one_line(workdir, capsys, name):
+    text, message = OBJ_ERRORS[name]
+    source = FIXTURES / "segment_1d.gmap"
+    (workdir / "it.gmap").write_text(source.read_text() if text is None else text)
+    assert main(["validate", "it.gmap"]) == 0
+    capsys.readouterr()
+    _one_error_line(capsys, ["export-obj", "it.gmap", "-o", "out.obj"], 1, f"E_DOMAIN {message}")
+    assert not (workdir / "out.obj").exists()
+
+
+def test_layer_domain_past_the_dimension_is_one_line(workdir, capsys):
+    text = (workdir / "square.gmap").read_text().replace("orbit: 1 2\n", "orbit: 1 5\n")
+    (workdir / "it.gmap").write_text(text)
+    line = "E_DOMAIN layer 'pos' domain <1,5> exceeds dimension 2"
+    _one_error_line(capsys, ["validate", "it.gmap"], 1, line)
+
+
+@pytest.mark.parametrize("old, new", [("type: color_rgb", "type color_rgb"), ("values {", "vals {")])
+def test_bad_layer_header_is_the_reference_parsers_error(workdir, capsys, old, new):
+    text = (workdir / "square_colored.gmap").read_text().replace(old, new, 1)
+    (workdir / "it.gmap").write_text(text)
+    with pytest.raises(ParseError) as exc:
+        reference_parse_gmap(text)
+    _one_error_line(capsys, ["validate", "it.gmap"], 2, f"E_SYNTAX {exc.value}")
 
 
 def test_info(workdir, capsys):

@@ -343,6 +343,13 @@ def test_tolerant_point_comparison(square_gmap):
     assert g.validate().ok
 
 
+def _known_valid_host() -> Gmap:
+    """A stand-in host marked known-valid, so a result is checked locally."""
+    host = Gmap(LabeledGraph(0))
+    host._known_valid = True
+    return host
+
+
 def test_drift_across_a_new_link_is_reported_by_the_local_check():
     # a valid host's orbit w(-1e-9) -0- a(0) -1- y(1e-9) -0- z(1e-9), joined
     # by z -1- C(1e-9): each link at z and C joins equal values, yet C and w
@@ -355,7 +362,7 @@ def test_drift_across_a_new_link_is_reported_by_the_local_check():
         [EmbeddingLayer("h", OrbitType((0, 1)), "scalar", values)],
     )
     want = ["E_EMBED layer=h orbit={C,a,w,y,z} darts=w"]
-    assert g._validate_rewritten({"z", "C"}).lines() == want
+    assert g._validate_rewritten({"z", "C"}, _known_valid_host()).lines() == want
     assert g.validate().lines() == want
 
 
@@ -371,7 +378,7 @@ def test_an_orbit_longer_than_the_checked_region_is_walked_whole():
     assert len(hub) == 16 and far not in g._ball(g._ball({first}, 2), 2)
     g.embeddings["pos"].values[far] = (0.5, 0.5, 0.0)
     want = [f"E_EMBED layer=pos orbit={{{','.join(sorted(hub))}}} darts={far}"]
-    assert g._validate_rewritten({first}).lines() == want
+    assert g._validate_rewritten({first}, _known_valid_host()).lines() == want
     assert g.validate().lines() == want
 
 

@@ -148,3 +148,17 @@ def test_reports_agree_when_agreement_within_tolerance_does_not_chain(seed, n, d
     values = {d: data.draw(st.sampled_from([0.0, 0.6e-9, 1.2e-9])) for d in sorted(g.darts)}
     g = Gmap(g.graph, [EmbeddingLayer("tag", domain, "scalar", values)])
     assert g.validate().lines() == oracle_validate(g).lines()
+
+
+def test_exact_layers_report_one_changed_value_as_the_oracle_does():
+    # colors and strings are compared with ==, not within the tolerance
+    text = fixture_text("square_colored.gmap").replace("v2e1-2f0: 200 40 40", "v2e1-2f0: 200 40 41")
+    colored = parse_gmap(text)
+    square = parse_gmap(fixture_text("square.gmap"))
+    names = {d: "face" for d in square.darts} | {"v2e1-2f0": "Face"}
+    named = Gmap(square.graph, [EmbeddingLayer("name", OrbitType((0, 1)), "string", names)])
+    face = ",".join(sorted(square.darts))
+    for g, layer in ((colored, "col"), (named, "name")):
+        want = [f"E_EMBED layer={layer} orbit={{{face}}} darts=v2e1-2f0"]
+        assert g.validate().lines() == want
+        assert oracle_validate(g).lines() == want
