@@ -1,10 +1,10 @@
 """Undirected multigraphs with dimension-labeled arcs and named nodes.
 
 This is the substrate everything else is built on: generalized maps,
-orbit graphs, and the two sides of an instantiated rule are all
-instances of :class:`LabeledGraph`.  Links carry stable ids so that
-parallel arcs and loops can be deleted individually; semantic equality
-ignores ids.
+orbit graphs, and the left side of an instantiated rule are all
+instances of :class:`LabeledGraph`, and so is its right side once read.
+Links carry stable ids so that parallel arcs and loops can be deleted
+individually; semantic equality ignores ids.
 
 Each node keeps one tuple of its incident links (a loop once), in the
 canonical order ``(dim, ends, id)``.  That is the natural order of
@@ -67,6 +67,11 @@ _CANONICAL = attrgetter("dim", "ends", "id")
 # Python 3.11); a whole-map Dual makes each link four times.
 _new = object.__new__
 _set_dim, _set_ends, _set_id = Link.dim.__set__, Link.ends.__set__, Link.id.__set__
+
+
+def dimension_error(dim: int, top: int) -> DimensionError:
+    """The error of a link of dimension ``dim`` in a graph of dimension ``top``."""
+    return DimensionError(f"dimension {dim} out of range 0..{top}")
 
 
 class LabeledGraph:
@@ -216,9 +221,7 @@ class LabeledGraph:
             if u not in self._adj:
                 raise UnknownNodeError(f"unknown node {u!r}")
         if not 0 <= dim <= self.ambient_dimension:
-            raise DimensionError(
-                f"dimension {dim} out of range 0..{self.ambient_dimension}"
-            )
+            raise dimension_error(dim, self.ambient_dimension)
         return unique
 
     # -- queries ----------------------------------------------------------

@@ -339,7 +339,7 @@ def apply_rule(
         matched_ids,
         deleted_darts,
         [name for _, name in created],
-        ((link.dim, [resolve[u] for u in link.ends]) for link in rule.right.links),
+        ((dim, [resolve[u] for u in ends]) for dim, ends in rule.right_links),
     )
 
     for layer in gmap.embeddings.values():

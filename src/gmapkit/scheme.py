@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import SchemeError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, dimension_error
 from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction
 
 if TYPE_CHECKING:
@@ -142,26 +143,39 @@ def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> Labele
     return _instance(scheme, orbit_graph)
 
 
-def _instance(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
+#: ``(dim, ends)`` links, as :meth:`LabeledGraph.build` reads them
+_Links = tuple[tuple[int, tuple[str, ...]], ...]
+
+
+def _instance_sets(scheme: GraphScheme, orbit_graph: LabeledGraph) -> tuple[tuple[str, ...], _Links]:
+    """The instance's nodes and links, in the order of :func:`instantiate_scheme`.
+
+    A dim above the orbit graph's raises the error that building them
+    would, naming the first such link's dim."""
     darts, orbit_links = orbit_graph.nodes, orbit_graph.links
     # each scheme node's copy of each orbit dart, named once
     copies = {name: {u: instance_name(u, name) for u in darts} for name in scheme.node_names}
+    links = []
+    for name, decoration in scheme.nodes:
+        f = RelabelingFunction(scheme.parameter, decoration).mapping
+        copy = copies[name]
+        for link in orbit_links:
+            dim = f[link.dim]
+            if isinstance(dim, int):
+                links.append((dim, tuple([copy[u] for u in link.ends])))
+    for arc in scheme.arcs:
+        a, b = copies[arc.a], copies[arc.b]
+        links += [(arc.dim, (a[u], b[u])) for u in sorted(darts)]
+    top = orbit_graph.ambient_dimension
+    for dim, _ in links:
+        if dim > top:
+            raise dimension_error(dim, top)
+    nodes = tuple(n for copy in copies.values() for n in copy.values())
+    return nodes, tuple(links)
 
-    def links():
-        for name, decoration in scheme.nodes:
-            f = RelabelingFunction(scheme.parameter, decoration).mapping
-            copy = copies[name]
-            for link in orbit_links:
-                dim = f[link.dim]
-                if isinstance(dim, int):
-                    yield dim, [copy[u] for u in link.ends]
-        for arc in scheme.arcs:
-            a, b = copies[arc.a], copies[arc.b]
-            for u in sorted(darts):
-                yield arc.dim, (a[u], b[u])
 
-    nodes = [n for copy in copies.values() for n in copy.values()]
-    return LabeledGraph.build(orbit_graph.ambient_dimension, nodes, links())
+def _instance(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
+    return LabeledGraph.build(orbit_graph.ambient_dimension, *_instance_sets(scheme, orbit_graph))
 
 
 @dataclass(frozen=True)
@@ -170,15 +184,25 @@ class InstantiatedRule:
 
     Node names carry their provenance (``origDart@schemeNode``); the
     preserved set is the expansion of the scheme nodes present on both
-    sides.
+    sides.  The left side is a graph, which match completion walks.  The
+    right side is kept as the instance's two sets, ``right_nodes`` and
+    ``right_links``, which rule application reads; :attr:`right` builds
+    its graph from them on first read.
     """
 
     rule: RuleScheme
     anchor: str
     orbit_graph: LabeledGraph
     left: LabeledGraph
-    right: LabeledGraph
+    right_nodes: tuple[str, ...]
+    right_links: _Links
     preserved: frozenset[str]
+
+    @cached_property
+    def right(self) -> LabeledGraph:
+        """The right side's instance graph, that of :func:`instantiate_scheme`."""
+        top = self.orbit_graph.ambient_dimension
+        return LabeledGraph.build(top, self.right_nodes, self.right_links)
 
     @property
     def left_only(self) -> tuple[str, ...]:
@@ -186,7 +210,7 @@ class InstantiatedRule:
 
     @property
     def right_only(self) -> tuple[str, ...]:
-        return tuple(u for u in self.right.nodes if u not in self.preserved)
+        return tuple(u for u in self.right_nodes if u not in self.preserved)
 
     def seed(self) -> dict[str, str]:
         """The canonical partial match: the anchor's hook copy onto itself."""
@@ -194,15 +218,16 @@ class InstantiatedRule:
 
 
 def instantiate_rule(rule: RuleScheme, gmap: "Gmap", dart: str) -> InstantiatedRule:
-    """Unfold both sides of ``rule`` with the parameter orbit of ``dart``."""
+    """Unfold both sides of ``rule`` with the parameter orbit of ``dart``:
+    the left side as a graph, the right side as its sets."""
     # the orbit holds only parameter dims and is connected by construction;
     # its walk raises on an unknown dart
     orbit_graph = gmap.orbit(rule.parameter, dart)
     left = _instance(rule.left, orbit_graph)
-    right = _instance(rule.right, orbit_graph)
+    right_nodes, right_links = _instance_sets(rule.right, orbit_graph)
     preserved = frozenset(
         instance_name(u, node)
         for node in rule.preserved_nodes
         for u in orbit_graph.nodes
     )
-    return InstantiatedRule(rule, dart, orbit_graph, left, right, preserved)
+    return InstantiatedRule(rule, dart, orbit_graph, left, right_nodes, right_links, preserved)

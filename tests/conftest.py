@@ -101,6 +101,26 @@ def two_triangles_mesh() -> PolygonalMesh:
     )
 
 
+# rules whose right side has a dim above square.gmap's, each with the dim
+# its error at v0e0-1f0 names: the first such dim in link order
+RIGHT_DIM_RULES = {
+    "decoration": (
+        "rule V <0> { left { n0: <0> hook  n1: <0>  n0 -2- n1 }"
+        " right { n0: <0>  n1: <3>  n0 -2- n1 } }",
+        3,
+    ),
+    "first_in_link_order": (
+        "rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <4,1,3> } }",
+        4,
+    ),
+    "arc": (
+        "rule A <0> { left { n0: <0> hook  n1: <0>  n0 -2- n1 }"
+        " right { n0: <0>  n1: <0>  n0 -4- n1 } }",
+        4,
+    ),
+}
+
+
 @pytest.fixture
 def square_gmap() -> Gmap:
     return unify(square_mesh())

@@ -13,7 +13,7 @@ import gmapkit
 from gmapkit import ParseError, parse_gmap
 from gmapkit.cli import main
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, RIGHT_DIM_RULES, fixture_text
 from reference_parse import reference_parse_gmap
 
 
@@ -213,6 +213,15 @@ def _one_error_line(capsys, argv, code, line):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == line + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_DIM_RULES))
+def test_a_right_side_dim_above_the_map_is_one_domain_line(workdir, capsys, name):
+    text, dim = RIGHT_DIM_RULES[name]
+    (workdir / "it.jrule").write_text(text + "\n")
+    argv = ["apply", "it.jrule", "square.gmap", "--dart", "v0e0-1f0", "-o", "out.gmap"]
+    _one_error_line(capsys, argv, 1, f"E_DOMAIN dimension {dim} out of range 0..2")
+    assert not (workdir / "out.gmap").exists()
 
 
 VI2 = ["apply", "vertex_insert_2.jrule", "square.gmap", "--dart", "v0e0-1f0", "-o", "out.gmap"]

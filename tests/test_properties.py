@@ -22,6 +22,7 @@ from gmapkit import (
     LabeledGraph,
     OrbitType,
     PostValidationError,
+    RuleScheme,
     SchemeArc,
     apply_rule,
     complete_match,
@@ -159,6 +160,26 @@ def test_instantiate_scheme_is_the_set_definition(case):
     out = instantiate_scheme(scheme, orbit_graph)
     assert len(out.nodes) == len(expected[0])
     assert (frozenset(out.nodes), out.link_signature()) == expected
+
+
+@settings(SETTINGS, max_examples=300)
+@given(schemes_on_orbits())
+def test_the_stored_right_side_is_the_set_definition(case):
+    # the scheme as the right side of a rule whose orbit is the whole graph
+    scheme, orbit_graph = case
+    o = scheme.parameter
+    left = GraphScheme(o, (("h", GeneralizedOrbitType(tuple(o))),))
+    rule = RuleScheme("R", o, left, scheme, "h")
+    host, dart = Gmap(orbit_graph), orbit_graph.nodes[0]
+    try:
+        nodes, links = oracle_instantiate(scheme, orbit_graph)
+    except DimensionError:
+        with pytest.raises(DimensionError):
+            instantiate_rule(rule, host, dart)
+        return
+    inst = instantiate_rule(rule, host, dart)
+    assert len(inst.right_nodes) == len(nodes) and frozenset(inst.right_nodes) == nodes
+    assert tuple(sorted((dim, tuple(sorted(ends))) for dim, ends in inst.right_links)) == links
 
 
 @SETTINGS

@@ -6,6 +6,7 @@ import pytest
 
 from gmapkit import (
     DanglingDartError,
+    DimensionError,
     DirectiveError,
     EmbeddingViolation,
     Gmap,
@@ -16,13 +17,14 @@ from gmapkit import (
     apply_rule,
     complete_match,
     instantiate_rule,
+    instantiate_scheme,
     parse_directive,
     parse_gmap,
     parse_rule_scheme,
     serialize_gmap,
 )
 
-from conftest import fixture_text, square_mesh
+from conftest import RIGHT_DIM_RULES, fixture_text, square_mesh
 from gmapkit.mesh import PolygonalMesh, unify
 
 MIDPOINT = parse_directive("pos:n1=midpoint(n0)")
@@ -341,3 +343,26 @@ def test_broken_host_stays_unmarked_and_its_rewrite_gets_a_full_report(vi_rule, 
     # each rewrite scans the host, then its result
     assert full_scans[0::2] == [broken, broken] and broken not in full_scans[1::2]
     assert broken.validate().lines() == want and not broken._known_valid
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_DIM_RULES))
+def test_a_right_side_dim_above_the_map_fails_at_instantiation(square_gmap, name):
+    text, dim = RIGHT_DIM_RULES[name]
+    with pytest.raises(DimensionError) as exc:
+        instantiate_rule(parse_rule_scheme(text), square_gmap, "v0e0-1f0")
+    assert str(exc.value) == f"dimension {dim} out of range 0..2"
+
+
+def test_a_rewrite_builds_one_instance_graph():
+    dual = parse_rule_scheme("rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <2,1,0> } }")
+    host = parse_gmap(fixture_text("square.gmap").replace("    orbit: 1 2\n", "    orbit: 1\n"))
+    with mock.patch.object(LabeledGraph, "build", wraps=LabeledGraph.build) as build:
+        inst = instantiate_rule(dual, host, "v0e0-1f0")
+        out = apply_rule(inst, host, complete_match(inst, host))
+    assert build.call_count == 1 and len(out.darts) == len(host.darts)
+    # the right side, read later, is the graph instantiate_scheme builds
+    want = instantiate_scheme(dual.right, inst.orbit_graph)
+    assert inst.right.nodes == want.nodes
+    assert [(l.dim, l.ends, l.id) for l in inst.right.links] == [
+        (l.dim, l.ends, l.id) for l in want.links
+    ]
