@@ -7,10 +7,10 @@ distance >= 2 closes into a cycle (the cycle constraint).  Validation
 returns data, not exceptions: invalid maps are a normal intermediate
 state during rewriting.
 
-Validation reads the links once into α arrays and tests the cycle
-constraint on them; only the darts that fail that test go through the
-exhaustive enumeration of link 4-tuples, which names the open chains
-(``Gmap._report``).
+Validation fills α arrays from the link table, each link writing its
+entry at both ends, and tests the cycle constraint on them; only the
+darts that fail that test go through the exhaustive enumeration of link
+4-tuples, which names the open chains (``Gmap._report``).
 
 Geometric data lives in embedding layers: a layer assigns one value per
 dart, and all darts of one orbit of the layer's domain type must agree.
@@ -215,22 +215,25 @@ Violation = IncidenceViolation | CycleViolation | EmbeddingViolation
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
+    _lines: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # repr breaks ties between violations that render identically
-        # (e.g. parallel links), keeping the order total and stable
-        object.__setattr__(
-            self,
-            "violations",
-            tuple(sorted(self.violations, key=lambda v: (v.line(), repr(v)))),
-        )
+        # each line is made once and kept; repr breaks ties between violations
+        # that render identically (e.g. parallel links), keeping the order total
+        if self.violations:
+            lines = [v.line() for v in self.violations]
+            count = Counter(lines)
+            tie = lambda p: (p[0], repr(p[1]) if count[p[0]] > 1 else "")
+            ranked = sorted(zip(lines, self.violations), key=tie)
+            object.__setattr__(self, "violations", tuple(v for _, v in ranked))
+            object.__setattr__(self, "_lines", tuple(l for l, _ in ranked))
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def lines(self) -> list[str]:
-        return [v.line() for v in self.violations]
+        return list(self._lines)
 
     def __len__(self) -> int:
         return len(self.violations)
@@ -397,10 +400,17 @@ class Gmap:
         pivoted at ``pivots``, from the links of the darts of ``scope``; each
         is every dart when ``None``.
 
-        One pass over ``scope`` fills the α arrays: a dart with one i-link
-        for each i in 0..n writes its entry in each, any other dart writes
-        none and is an incidence violation.  So ``alpha[i][d]`` exists
-        exactly when ``d`` is such a dart of ``scope``, and is then exact.
+        The α arrays are filled once per link, at both its ends: from the
+        link table on a full scan, from the link tuples of ``scope`` on a
+        local one.  A dart of ``darts`` without n+1 links, or with n+1 and a
+        repeated dim (so it lacks an entry), is an incidence violation, and
+        its entries are dropped; the other darts of ``scope`` must have one
+        link per dimension, as they do after a rewrite of a valid map.  So
+        for ``d`` in ``scope``, ``alpha[i][d]`` exists exactly when ``d`` has
+        one i-link for each i in 0..n, and is then exact.  A local scan also
+        leaves entries at darts outside ``scope``, which the α test never
+        reads: it reads entries at most 2 links from a pivot
+        (``_TEST_RADIUS``), and ``scope`` holds them all.
 
         A pivot fails the α test when α_j α_i α_j(d) != α_i(d) for some
         j >= i+2, a missing entry included.  Every pivot ``d`` of a violated
@@ -423,31 +433,26 @@ class Gmap:
         """
         adj = self.graph._adj
         n1 = self.n + 1
-        # made at the first dart with n + 1 links, so it never outgrows them
-        alpha: list[dict[str, str]] = []
-        invalid = []
-        for u, links in adj.items() if scope is None else ((u, adj[u]) for u in scope):
-            if len(links) == n1:
-                if not alpha:
-                    alpha = [{} for _ in links]
-                i = 0
-                for l in links:
-                    if l.dim != i:  # links are sorted by dim: one is repeated
-                        break
-                    e = l.ends
-                    alpha[i][u] = e[0] if e[-1] == u else e[-1]
-                    i += 1
-                else:
-                    continue
-                for a in alpha:
-                    a.pop(u, None)
-            invalid.append(u)
+        nodes = adj.keys() if darts is None else darts
+        invalid = {u for u in nodes if len(adj[u]) != n1}
+        # made only if a dart has n + 1 links, so it never outgrows them
+        alpha = [{} for _ in range(n1)] if len(invalid) < len(nodes) else []
+        links = self.graph._links.values() if scope is None else chain.from_iterable(map(adj.get, scope))
+        for l in links if alpha else ():
+            e, a = l.ends, alpha[l.dim]
+            a[e[0]] = e[-1]
+            a[e[-1]] = e[0]
+        for a in alpha:  # n + 1 links with a repeated dim leave one entry out
+            if darts is not None or len(a) < len(nodes):
+                invalid |= nodes - a.keys()
+        for a in alpha:
+            for u in invalid:
+                a.pop(u, None)
 
         violations: list[Violation] = []
         for u in invalid:
-            if darts is None or u in darts:
-                found = Counter(l.dim for l in adj[u])
-                violations.extend(IncidenceViolation(u, i, found[i]) for i in range(n1) if found[i] != 1)
+            found = Counter(l.dim for l in adj[u])
+            violations.extend(IncidenceViolation(u, i, found[i]) for i in range(n1) if found[i] != 1)
 
         pivots = adj.keys() if pivots is None else pivots
         suspects = set(pivots) if not alpha else set()  # no α arrays: test nothing
@@ -494,7 +499,7 @@ class Gmap:
         return list(found.values())
 
     def _embedding_screen(
-        self, layer: EmbeddingLayer, alpha: list[dict[str, str]], invalid: list[str]
+        self, layer: EmbeddingLayer, alpha: list[dict[str, str]], invalid: set[str]
     ) -> set[str]:
         """A dart of every orbit of the layer's domain that may violate it:
         the darts ``invalid``, which have no α entries, and each dart whose

@@ -22,7 +22,7 @@ from gmapkit.mesh import PolygonalMesh, unify
 
 from conftest import fixture_text, free_edge_graph, sewn_edge_graph
 from gmapkit import parse_gmap
-from oracle import random_valid_gmap, reference_orbit_graph
+from oracle import oracle_validate, random_valid_gmap, reference_orbit_graph
 
 
 def free_edge_gmap() -> Gmap:
@@ -116,6 +116,19 @@ def test_a_doubled_link_opens_chains_pivoted_at_valid_darts():
         "E_CYCLE i=0 j=2 path: a-0-d . c-2-d . b-0-c . c-2-c",
         "E_INCIDENCE dart=c dim=2 found=2",
     ]
+
+
+def test_a_dart_with_a_link_per_dimension_but_one_repeated_is_an_incidence_violation(square_gmap):
+    # x keeps its 0-link and 2-link, and its 1-link to y becomes a 0-loop at
+    # x and a 1-loop at y: x has n+1 links with dims (0, 0, 2), so only a
+    # missing α_1 entry tells it from a valid dart; every other dart is valid
+    x, y = next(l.ends for l in square_gmap.graph.links if l.dim == 1 and len(l.ends) == 2)
+    links = [(l.dim, l.ends) for l in square_gmap.graph.links if (l.dim, l.ends) != (1, (x, y))]
+    g = Gmap(LabeledGraph.build(2, square_gmap.darts, links + [(0, (x,)), (1, (y,))]), square_gmap.embeddings.values())
+    assert [l.dim for l in g.graph.incident_links(x)] == [0, 0, 2]
+    lines = g.validate().lines()
+    assert f"E_INCIDENCE dart={x} dim=1 found=0" in lines
+    assert lines == oracle_validate(g).lines()
 
 
 # -- alpha ---------------------------------------------------------------------

@@ -63,9 +63,11 @@ def test_reports_agree_on_random_broken_multigraphs(seed):
 def planted_defects(draw):
     """A valid map with 1-3 planted defects, placed anywhere, so next to
     each other too: a removed link, a dart's second link of a dimension
-    (to any dart: itself, its neighbour in that dimension or another), or
-    a link with one end moved to another dart.  Half carry a ``tag`` layer
-    that was valid before the defects."""
+    (to any dart: itself, its neighbour in that dimension or another), a
+    link with one end moved to another dart, or a link that keeps its ends
+    and takes another dimension (so its ends can have n+1 links with one
+    dimension repeated).  Half carry a ``tag`` layer that was valid before
+    the defects."""
     n = draw(st.integers(1, 3))
     g = random_valid_gmap(draw(st.integers(0, 10_000)), n=n, max_darts=16)
     layers = []
@@ -79,7 +81,7 @@ def planted_defects(draw):
     darts = sorted(g.darts)
     links = [(l.dim, l.ends) for l in g.graph.links]
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["removed", "doubled", "rewired"]))
+        kind = draw(st.sampled_from(["removed", "doubled", "rewired", "relabeled"]))
         if kind == "doubled" or not links:
             d = draw(st.sampled_from(darts))
             links.append((draw(st.integers(0, n)), (d, draw(st.sampled_from(darts)))))
@@ -87,6 +89,8 @@ def planted_defects(draw):
         dim, ends = links.pop(draw(st.integers(0, len(links) - 1)))
         if kind == "rewired":
             links.append((dim, (draw(st.sampled_from(ends)), draw(st.sampled_from(darts)))))
+        elif kind == "relabeled":
+            links.append((draw(st.sampled_from([k for k in range(n + 1) if k != dim])), ends))
     return Gmap.build(n, darts, links, layers)
 
 

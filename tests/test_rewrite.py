@@ -267,6 +267,27 @@ def test_local_check_reaches_a_pivot_two_links_from_the_new_link(identity_rule):
     assert "E_CYCLE i=0 j=2 path: c-0-d . b-2-d . a-0-b . a-2-a@n1" in local.value.report.lines()
 
 
+def test_local_check_finds_a_dart_with_a_repeated_dim_as_the_full_check_does():
+    # a 2x2 grid of quads; the rule turns the 1-link at a corner dart into
+    # a 0-link, so both its ends have n+1 links with dims (0, 0, 2)
+    grid = [(float(x), float(y), 0.0) for y in range(3) for x in range(3)]
+    host = unify(PolygonalMesh(grid, [(0, 1, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8, 7)]))
+    assert host.validate().ok and host._known_valid
+    relabel = parse_rule_scheme("rule R <1> { left { n0: <1> hook } right { n0: <0> } }")
+    d = min(host.darts)
+    ends = {d, host.alpha(d, 1)}
+    assert len(host._ball(host._ball(ends, 2), 2)) < len(host.darts)  # a local check
+    with pytest.raises(PostValidationError) as local:
+        apply_rule(instantiate_rule(relabel, host, d), host)
+    full_check = lambda self, touched, host=None: self.validate()
+    with mock.patch.object(Gmap, "_validate_rewritten", full_check):
+        with pytest.raises(PostValidationError) as full:
+            apply_rule(instantiate_rule(relabel, host, d), host)
+    assert local.value.report.lines() == full.value.report.lines()
+    for e in ends:
+        assert f"E_INCIDENCE dart={e} dim=1 found=0" in local.value.report.lines()
+
+
 def test_unmarked_broken_host_gets_a_full_report(vi_rule):
     square = unify(square_mesh())
     # a lone dart z with no 2-link, far from the rewrite
