@@ -9,17 +9,15 @@ nodes by name.  All output uses LF line endings.
 A ``.gmap`` document is read record by record (the header, a dart name,
 a link, a layer header, one dart's value) with patterns built from the
 tokenizer's own, and the map is built in one step.  Only an error lexes
-the text, once, to raise it with the message, line and column of reading
-the document token by token.  ``.jrule`` schemes are read token by token.
+the text, in one pass, and reads the failing record again token by token
+from its start, for the message, line and column of reading the whole
+document so.  ``.jrule`` schemes are lexed and then read token by token.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
 from typing import Any, NoReturn
 
 from .errors import (
@@ -38,16 +36,11 @@ from .scheme import _NAME, GraphScheme, RuleScheme, SchemeArc
 _NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _COMMENT = r"#[^\n]*"
-_SKIP = rf"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>{_COMMENT})"
-# re.S lets an escape in a string take a newline
-_GMAP_TOKENS = re.compile(
-    rf'{_SKIP}|(?P<STRING>{_STRING})|(?P<OPEN>")|(?P<IDENT>{_GMAP_IDENT.pattern})'
-    rf"|(?P<NUMBER>{_NUMBER})|(?P<SYMBOL>[{{}}:])|(?P<BAD>.)",
-    re.S,
-)
-_RULE_TOKENS = re.compile(
-    rf"{_SKIP}|(?P<IDENT>{_NAME.pattern})|(?P<NUMBER>\d+)|(?P<SYMBOL>[{{}}<>,:-])|(?P<BAD>.)"
-)
+# a format's tokens by kind, in the order they are tried
+_SKIP = (("NL", r"\n"), ("WS", r"[ \t\r]+"), ("COMMENT", _COMMENT))
+_GMAP_TOKENS = (*_SKIP, ("STRING", _STRING), ("IDENT", _GMAP_IDENT.pattern), ("NUMBER", _NUMBER),
+                ("SYMBOL", "[{}:]"))
+_RULE_TOKENS = (*_SKIP, ("IDENT", _NAME.pattern), ("NUMBER", r"\d+"), ("SYMBOL", "[{}<>,:-]"))
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
@@ -67,88 +60,109 @@ def _unquote(string: str) -> str:
     return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), string[1:-1])
 
 
-# slots, not a NamedTuple: a 3.6k-dart map has ~43k tokens, and the
-# larger tuple raised peak RSS by ~2 MB
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-    start: int  # offset of its first character in the text
+@cache
+def _scanner(tokens: tuple) -> tuple[re.Pattern, re.Pattern]:
+    """A format's master pattern, each token in a group named by its kind,
+    and its run: up to 64 tokens (the bound keeps the match state small)
+    with no groups, and no string that breaks a line, as only the master
+    pattern's re.S lets one."""
+    master = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in tokens), re.S)
+    return master, re.compile(f"(?:{'|'.join(p for _, p in tokens)}){{0,64}}")
+
+
+def _lex(text: str, tokens: tuple, at: int = 0) -> tuple[int, int]:
+    """Lex ``text`` into a format's ``tokens`` in one pass that makes no
+    token: raise its first lexical error, else return the line and
+    column of offset ``at``, a token's start or end.
+
+    The tokens are tried in order: newline, blanks, ``#`` comment,
+    string (``.gmap`` only), identifier, number, symbol.  A lexical
+    error is where none matches: an unterminated string at its opening
+    quote, or else an unexpected character.  Columns count characters
+    from 1, but a comment does not advance the column (only a newline or
+    the end of the text follows it on its line) and a backslash-newline
+    inside a string does not advance the line."""
+    master, run = _scanner(tokens)
+    line, start, pos, place = 1, 0, 0, None  # start: the offset of the line's first character
+    while True:
+        end = run.match(text, pos).end()
+        if place is None and at <= end:
+            column = at - max(start, text.rfind("\n", pos, at) + 1) + 1
+            place = line + text.count("\n", pos, at), column
+        line += text.count("\n", pos, end)
+        start = max(start, text.rfind("\n", pos, end) + 1)
+        if end == len(text):
+            return place
+        if end > pos:
+            pos = end
+        elif m := master.match(text, end):  # a string with a line break
+            pos = m.end()
+        else:
+            quote = text[end] == '"' and "STRING" in master.groupindex
+            message = "unterminated string" if quote else f"unexpected character {text[end]!r}"
+            raise ParseError(message, line, end - start + 1)
 
 
 class _Tokenizer:
-    """Scanner shared by the two text formats.
+    """Reader of the ``tokens`` of ``text`` from offset ``pos`` on, one
+    at a time, once ``_lex`` has raised any lexical error of the text.
+    It is its current token: ``kind`` (a symbol's is itself), ``text``
+    (a string's unquoted), and the ``line`` and ``column`` of its start."""
 
-    ``pattern`` is the format's master pattern, ``_GMAP_TOKENS`` or
-    ``_RULE_TOKENS``; its alternatives are tried in order: newline,
-    blanks, ``#`` comment, string (``.gmap`` only), identifier, number,
-    symbol, and any other character, which is an error.  A string that
-    fails to close before a raw newline or the end of the text is an
-    error at its opening quote.  Symbols are their own token kind.
-    Columns count characters from 1, but a comment does not advance the
-    column and a backslash-newline inside a string does not advance the
-    line.
-    """
+    def __init__(self, text: str, tokens: tuple, pos: int = 0):
+        self.line, self.column = _lex(text, tokens, pos)
+        self._doc, self._pattern = text, _scanner(tokens)[0]
+        self.text, self._start, self._end = "", pos, pos
+        self.next()
 
-    def __init__(self, text: str, pattern: re.Pattern):
-        self._tokens: list[_Token] = []
-        line, col = 1, 1
-        for m in pattern.finditer(text):
-            kind, s = m.lastgroup, m.group()
+    def next(self) -> str:
+        """Step over the current token, unless it is ``EOF``; its text."""
+        passed, pos = self.text, self._end
+        self.column += pos - self._start
+        while m := self._pattern.match(self._doc, pos):
+            kind, token = m.lastgroup, m.group()
             if kind == "NL":
-                line, col = line + 1, 1
-                continue
-            if kind == "COMMENT":
-                continue
-            if kind == "OPEN":
-                raise ParseError("unterminated string", line, col)
-            if kind == "BAD":
-                raise ParseError(f"unexpected character {s!r}", line, col)
-            if kind == "STRING":
-                self._tokens.append(_Token(kind, _unquote(s), line, col, m.start()))
-            elif kind != "WS":
-                self._tokens.append(_Token(s if kind == "SYMBOL" else kind, s, line, col, m.start()))
-            col += len(s)
-        self._tokens.append(_Token("EOF", "", line, col, len(text)))
-        self._pos = 0
+                self.line, self.column = self.line + 1, 1
+            elif kind == "WS":
+                self.column += len(token)
+            elif kind != "COMMENT":
+                self.kind = token if kind == "SYMBOL" else kind
+                self.text = _unquote(token) if kind == "STRING" else token
+                self._start, self._end = m.span()
+                return passed
+            pos = m.end()
+        self.kind, self.text, self._start, self._end = "EOF", "", pos, pos
+        return passed
 
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message, self.line, self.column)
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self._pos += 1
-        return tok
-
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.error(f"expected {kind}, found {tok.text!r}")
+    def expect(self, kind: str) -> str:
+        if self.kind != kind:
+            self.error(f"expected {kind}, found {self.text!r}")
         return self.next()
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            self.error(f"expected {word!r}, found {tok.text!r}")
-        return self.next()
+    def expect_keyword(self, word: str) -> None:
+        if not self.accept(word):
+            self.error(f"expected {word!r}, found {self.text!r}")
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.text == word
+    def at(self, word: str) -> bool:
+        """Whether the current token is the symbol or keyword ``word``."""
+        return self.text == word and self.kind in (word, "IDENT")
+
+    def accept(self, word: str) -> bool:
+        """Step over the current token if it is ``word``; whether it was."""
+        found = self.at(word)
+        if found:
+            self.next()
+        return found
 
     def expect_nat(self) -> int:
-        tok = self.peek()
-        if tok.kind != "NUMBER" or not tok.text.isdigit():
-            self.error(f"expected a natural number, found {tok.text!r}")
+        if self.kind != "NUMBER" or not self.text.isdigit():
+            self.error(f"expected a natural number, found {self.text!r}")
+        number = _integer(self.text, self.line, self.column)
         self.next()
-        return _integer(tok.text, tok.line, tok.column)
+        return number
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +232,7 @@ _STR = rf"({_STRING})"
 
 _HEADER = ("dimension", _NAT, "darts", r"\{")
 _LINK = (_NAT, ":", _ID)
+_LINK_RECORD = (*_LINK, f"(?:{_ID})?")  # and its second end, if any
 _LAYER = (_ID, r"\{", "orbit", ":")
 _TYPE = ("type", ":", _ID)
 
@@ -261,50 +276,52 @@ def _fail(text: str, pos: int, parts: tuple = (), loop: tuple = (), message: str
     document token by token.
 
     A lexical error anywhere comes first.  Then the record's tokens are
-    read one by one: ``loop``'s, if the token at ``pos`` can start it,
-    else ``parts``'.  The first token that is not what its part reads
-    is the error; if there is none, ``message`` is, at the token after
-    the record."""
-    tz = _Tokenizer(text, _GMAP_TOKENS)
-    tz._pos = bisect_left(tz._tokens, pos, key=attrgetter("start"))
+    read one by one from ``pos``: ``loop``'s, if the token there can
+    start it, else ``parts``'.  The first token that is not what its
+    part reads is the error; if there is none, ``message`` is, at the
+    token after the record."""
+    tz = _Tokenizer(text, _GMAP_TOKENS, pos)
     if loop:
         first = loop[0]
-        if tz.at_keyword(first) if first.isalpha() else tz.peek().kind == _PART_TOKENS[first][0]:
+        if tz.at(first) if first.isalpha() else tz.kind == _PART_TOKENS[first][0]:
             parts = loop
     for part in parts:
         if part.isalpha():
             tz.expect_keyword(part)
             continue
-        tok, (kind, name) = tz.peek(), _PART_TOKENS[part]
-        if tok.kind != kind or part == _NAT and not tok.text.isdigit():
-            tz.error(f"expected {name}, found {tok.text!r}")
-        tz.next()
-        if part == _INT and not tok.text.lstrip("-").isdigit():
-            tz.error(f"color components must be integers, found {tok.text!r}")
+        (kind, name), line, column = _PART_TOKENS[part], tz.line, tz.column
+        if tz.kind != kind or part == _NAT and not tz.text.isdigit():
+            tz.error(f"expected {name}, found {tz.text!r}")
+        found = tz.next()
+        if part == _INT and not found.lstrip("-").isdigit():
+            tz.error(f"color components must be integers, found {found!r}")
         if part in (_NAT, _INT):
-            _integer(tok.text, tok.line, tok.column)
+            _integer(found, line, column)
     if message:
         tz.error(message)
-    raise AssertionError(f"the scan stopped at a record that reads as tokens: {tz.peek()}")
+    raise AssertionError(f"the scan stopped at a record that reads as tokens, before {tz.text!r}")
 
 
 def _build(text: str, n: int, darts: list[str], links: list) -> LabeledGraph:
     """The graph of a document's darts and links.  A repeated dart is a
-    syntax error at its token, a bad link an error naming its line."""
+    syntax error at its token, a bad link an error naming its line; the
+    records are matched again to find the failing one."""
     graph = LabeledGraph(n)
     try:
         graph._edit(nodes=darts, links=links)
     except GmapError as exc:
         # the edits before the error are done: the count of nodes, or
         # else of links, added is the index of the failing one
-        tokens = _Tokenizer(text, _GMAP_TOKENS)._tokens  # a lexical error comes first
+        pos = _record(*_HEADER).match(text).end()
+        for _ in range(len(graph)):
+            pos = _record(_ID).match(text, pos).end()
         if len(graph) < len(darts):
-            tok = tokens[len(_HEADER) + len(graph)]
-            raise ParseError(str(exc), tok.line, tok.column) from exc
-        k = len(_HEADER) + len(darts) + 3  # the first link's first token
+            _fail(text, pos, message=str(exc))
+        pos = _record(r"\}", "links", r"\{").match(text, pos).end()
         for _ in graph.links:
-            k += 4 if tokens[k + 3].kind == "IDENT" else 3
-        exc.args = (f"{exc.args[0]} (line {tokens[k].line})",) + exc.args[1:]
+            pos = _record(*_LINK_RECORD).match(text, pos).end()
+        line = _Tokenizer(text, _GMAP_TOKENS, pos).line
+        exc.args = (f"{exc.args[0]} (line {line})",) + exc.args[1:]
         raise
     return graph
 
@@ -330,7 +347,7 @@ def parse_gmap(text: str) -> Gmap:
             if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
                 _fail(text, pos, (r"\}", "links", r"\{"))
             pos, reading = m.end(), _LINK
-            link = _record(*_LINK, f"(?:{_ID})?").match
+            link = _record(*_LINK_RECORD).match
             while m := link(text, pos):
                 dim, a, b = m.groups()
                 links.append((int(dim), (a,) if b is None else (a, b)))
@@ -374,7 +391,7 @@ def parse_gmap(text: str) -> Gmap:
                 try:
                     layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
                 except GmapError:
-                    _Tokenizer(text, _GMAP_TOKENS)  # a lexical error comes first
+                    _lex(text, _GMAP_TOKENS)  # a lexical error comes first
                     raise
             if not (m := _record(r"\}").match(text, pos)):
                 _fail(text, pos, (r"\}",), _LAYER)
@@ -408,22 +425,14 @@ def serialize_rule_scheme(rule: RuleScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_gorbit(tz: _Tokenizer) -> GeneralizedOrbitType:
+def _parse_list(tz: _Tokenizer, entry) -> tuple:
+    """The comma-separated entries of a ``<...>`` list, each read by ``entry``."""
     tz.expect("<")
-    entries: list = []
-    while True:
-        tok = tz.peek()
-        if tok.kind == "IDENT" and tok.text == "_":
-            tz.next()
-            entries.append(REMOVE)
-        else:
-            entries.append(tz.expect_nat())
-        if tz.peek().kind == ",":
-            tz.next()
-            continue
-        break
+    entries = [entry()]
+    while tz.accept(","):
+        entries.append(entry())
     tz.expect(">")
-    return GeneralizedOrbitType(tuple(entries))
+    return tuple(entries)
 
 
 def _parse_block(tz: _Tokenizer, side: str):
@@ -432,24 +441,20 @@ def _parse_block(tz: _Tokenizer, side: str):
     nodes: list[tuple[str, GeneralizedOrbitType]] = []
     arcs: list[SchemeArc] = []
     hooks: list[str] = []
-    while tz.peek().kind == "IDENT" and tz.peek().text not in ("left", "right"):
-        name_tok = tz.expect("IDENT")
-        sep = tz.peek()
-        if sep.kind == ":":
-            tz.next()
-            deco = _parse_gorbit(tz)
-            if tz.at_keyword("hook"):
-                tz.next()
-                hooks.append(name_tok.text)
-            nodes.append((name_tok.text, deco))
-        elif sep.kind == "-":
-            tz.next()
+    while tz.kind == "IDENT" and tz.text not in ("left", "right"):
+        name = tz.next()
+        if tz.accept(":"):
+            entries = _parse_list(tz, lambda: REMOVE if tz.accept("_") else tz.expect_nat())
+            if tz.accept("hook"):
+                hooks.append(name)
+            nodes.append((name, GeneralizedOrbitType(entries)))
+        elif tz.accept("-"):
             dim = tz.expect_nat()
             tz.expect("-")
-            other = tz.expect("IDENT").text
-            arcs.append(SchemeArc(name_tok.text, dim, other))
+            other = tz.expect("IDENT")
+            arcs.append(SchemeArc(name, dim, other))
         else:
-            tz.error(f"expected ':' or '-' after {name_tok.text!r}")
+            tz.error(f"expected ':' or '-' after {name!r}")
     tz.expect("}")
     return nodes, arcs, hooks
 
@@ -465,14 +470,8 @@ def parse_rule_scheme(text: str) -> RuleScheme:
     """
     tz = _Tokenizer(text, _RULE_TOKENS)
     tz.expect_keyword("rule")
-    name = tz.expect("IDENT").text
-    tz.expect("<")
-    dims = [tz.expect_nat()]
-    while tz.peek().kind == ",":
-        tz.next()
-        dims.append(tz.expect_nat())
-    tz.expect(">")
-    parameter = OrbitType(tuple(dims))
+    name = tz.expect("IDENT")
+    parameter = OrbitType(_parse_list(tz, tz.expect_nat))
     tz.expect("{")
     left_nodes, left_arcs, left_hooks = _parse_block(tz, "left")
     right_nodes, right_arcs, right_hooks = _parse_block(tz, "right")

@@ -1,12 +1,14 @@
-"""The token-by-token .gmap parser, frozen as the reference for
-``gmapkit.textio.parse_gmap``.
+"""The token-by-token .gmap and .jrule parsers, frozen as the
+references for ``gmapkit.textio.parse_gmap`` and ``parse_rule_scheme``.
 
-This is the parser as it stood before documents were read record by
-record: every character becomes part of a token, and the grammar reads
-one token at a time.  The test suite gives both parsers the same texts
-and requires the same map (text, per-dart link lists and link ids) or
-the same exception class and message.  Do not change it to follow the
-kernel; change it only where the .gmap format itself changes.
+These are the parsers as they stood before documents were read record
+by record and before errors were placed without a token list: every
+character becomes part of a token, and the grammar reads one token at
+a time from the list.  The test suite gives the kernel and its
+reference the same texts and requires the same map (text, per-dart
+link lists and link ids) or scheme, or the same exception class and
+message.  Do not change them to follow the kernel; change them only
+where a format itself changes.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from gmapkit.errors import GmapError, ParseError
+from gmapkit.errors import GmapError, ParseError, SchemeError
 from gmapkit.gmap import EmbeddingLayer, Gmap, VALUE_TYPES
 from gmapkit.graph import LabeledGraph
-from gmapkit.orbits import OrbitType
+from gmapkit.orbits import REMOVE, GeneralizedOrbitType, OrbitType
+from gmapkit.scheme import GraphScheme, RuleScheme, SchemeArc
 
 _GMAP_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_@#-]*")
 _SKIP = r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>#[^\n]*)"
@@ -27,6 +30,9 @@ _GMAP_TOKENS = re.compile(
     rf'{_SKIP}|(?P<STRING>"(?:[^"\\\n]|\\.)*")|(?P<OPEN>")|(?P<IDENT>{_GMAP_IDENT.pattern})'
     r"|(?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<SYMBOL>[{}:])|(?P<BAD>.)",
     re.S,
+)
+_RULE_TOKENS = re.compile(
+    rf"{_SKIP}|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<NUMBER>\d+)|(?P<SYMBOL>[{{}}<>,:-])|(?P<BAD>.)"
 )
 _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -43,12 +49,12 @@ class _Token:
 
 
 class _Tokenizer:
-    """Scanner of the .gmap format.
+    """Scanner shared by the two text formats.
 
-    ``pattern`` is the format's master pattern, ``_GMAP_TOKENS``; its
-    alternatives are tried in order: newline, blanks, ``#`` comment,
-    string, identifier, number, symbol, and any other character, which
-    is an error.  A string that
+    ``pattern`` is the format's master pattern, ``_GMAP_TOKENS`` or
+    ``_RULE_TOKENS``; its alternatives are tried in order: newline,
+    blanks, ``#`` comment, string (``.gmap`` only), identifier, number,
+    symbol, and any other character, which is an error.  A string that
     fails to close before a raw newline or the end of the text is an
     error at its opening quote.  Symbols are their own token kind.
     Columns count characters from 1, but a comment does not advance the
@@ -215,3 +221,112 @@ def reference_parse_gmap(text: str) -> Gmap:
         tz.expect("}")
     tz.expect("EOF")
     return Gmap(graph, layers)
+
+
+# ---------------------------------------------------------------------------
+# .jrule rule schemes
+
+
+def _integer(text: str, line: int, column: int) -> int:
+    """``int(text)``; a syntax error at ``line``, ``column`` when ``text``
+    has more digits than the interpreter converts (4,300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ParseError(f"number of {digits} digits is too long", line, column) from None
+
+
+class _RuleTokenizer(_Tokenizer):
+    """The scanner as the .jrule parser read it: a natural past
+    ``int()``'s digit limit is a syntax error at its token."""
+
+    def expect_nat(self) -> int:
+        tok = self.peek()
+        if tok.kind != "NUMBER" or not tok.text.isdigit():
+            self.error(f"expected a natural number, found {tok.text!r}")
+        self.next()
+        return _integer(tok.text, tok.line, tok.column)
+
+
+def _parse_gorbit(tz: _Tokenizer) -> GeneralizedOrbitType:
+    tz.expect("<")
+    entries: list = []
+    while True:
+        tok = tz.peek()
+        if tok.kind == "IDENT" and tok.text == "_":
+            tz.next()
+            entries.append(REMOVE)
+        else:
+            entries.append(tz.expect_nat())
+        if tz.peek().kind == ",":
+            tz.next()
+            continue
+        break
+    tz.expect(">")
+    return GeneralizedOrbitType(tuple(entries))
+
+
+def _parse_block(tz: _Tokenizer, side: str):
+    tz.expect_keyword(side)
+    tz.expect("{")
+    nodes: list[tuple[str, GeneralizedOrbitType]] = []
+    arcs: list[SchemeArc] = []
+    hooks: list[str] = []
+    while tz.peek().kind == "IDENT" and tz.peek().text not in ("left", "right"):
+        name_tok = tz.expect("IDENT")
+        sep = tz.peek()
+        if sep.kind == ":":
+            tz.next()
+            deco = _parse_gorbit(tz)
+            if tz.at_keyword("hook"):
+                tz.next()
+                hooks.append(name_tok.text)
+            nodes.append((name_tok.text, deco))
+        elif sep.kind == "-":
+            tz.next()
+            dim = tz.expect_nat()
+            tz.expect("-")
+            other = tz.expect("IDENT").text
+            arcs.append(SchemeArc(name_tok.text, dim, other))
+        else:
+            tz.error(f"expected ':' or '-' after {name_tok.text!r}")
+    tz.expect("}")
+    return nodes, arcs, hooks
+
+
+def reference_parse_rule_scheme(text: str) -> RuleScheme:
+    """Parse the rule DSL::
+
+        rule NAME <dims> { left { decls } right { decls } }
+
+    where a declaration is either ``node: <entries> [hook]`` (entries
+    are naturals or ``_``) or an arc ``node -dim- node``.  Exactly one
+    hook, in the left block.
+    """
+    tz = _RuleTokenizer(text, _RULE_TOKENS)
+    tz.expect_keyword("rule")
+    name = tz.expect("IDENT").text
+    tz.expect("<")
+    dims = [tz.expect_nat()]
+    while tz.peek().kind == ",":
+        tz.next()
+        dims.append(tz.expect_nat())
+    tz.expect(">")
+    parameter = OrbitType(tuple(dims))
+    tz.expect("{")
+    left_nodes, left_arcs, left_hooks = _parse_block(tz, "left")
+    right_nodes, right_arcs, right_hooks = _parse_block(tz, "right")
+    tz.expect("}")
+    tz.expect("EOF")
+
+    if right_hooks:
+        raise SchemeError(f"hook {right_hooks[0]!r} must be declared in the left block")
+    if not left_hooks:
+        raise SchemeError(f"rule {name!r} has no hook")
+    if len(left_hooks) > 1:
+        raise SchemeError(f"rule {name!r} has multiple hooks: {', '.join(left_hooks)}")
+
+    left = GraphScheme(parameter, tuple(left_nodes), tuple(left_arcs))
+    right = GraphScheme(parameter, tuple(right_nodes), tuple(right_arcs))
+    return RuleScheme(name, parameter, left, right, left_hooks[0])

@@ -163,6 +163,11 @@ RULE_CASES = {
         f"rule r <0> {{\n  left {{ a: <0> hook a -{BIG}- a }}\n}}\n",
         "number of 5000 digits is too long (line 2, column 25)",
     ),
+    # a lexical error comes before an earlier syntax error ('lef')
+    "character_after_a_syntax_error": (
+        "rule r <0> { lef { } } $",
+        "unexpected character '$' (line 1, column 24)",
+    ),
 }
 
 OFF_CASES = {

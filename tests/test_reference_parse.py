@@ -1,26 +1,45 @@
-"""The record-scanning ``parse_gmap`` against the frozen token parser.
+"""The record-scanning ``parse_gmap`` against the frozen token parser,
+and ``parse_rule_scheme`` against the frozen token-list one.
 
-Both parsers read the same texts: canonical documents of random maps
-with a layer of every value type, the same documents reflowed (blanks
-and line breaks of every kind, ``#`` comments, no blank next to a
-symbol), planted faults, and random edits of all of these.  They must
-give the same map, per-dart link lists and link ids included, or raise
-the same exception class with the same message.  ``parse_gmap`` lexes
-a document only to place an error, so a document that is only reflowed
-must parse with the lexer switched off.
+Both ``.gmap`` parsers read the same texts: canonical documents of
+random maps with a layer of every value type, the same documents
+reflowed (blanks and line breaks of every kind, ``#`` comments, no
+blank next to a symbol), planted faults, and random edits of all of
+these.  They must give the same map, per-dart link lists and link ids
+included, or raise the same exception class with the same message.
+``parse_gmap`` lexes a document only to place an error, so a document
+that is only reflowed must parse with the lexer switched off.  Both
+``.jrule`` parsers read random edits of the fixture rules and must give
+equal schemes or the same exception class and message.
 """
 
 import re
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
-from gmapkit import EmbeddingLayer, Gmap, GmapError, OrbitType, parse_gmap, serialize_gmap, textio
+from gmapkit import (
+    EmbeddingLayer,
+    Gmap,
+    GmapError,
+    OrbitType,
+    parse_gmap,
+    parse_rule_scheme,
+    serialize_gmap,
+    textio,
+)
 from gmapkit.gmap import VALUE_TYPES
 
 from oracle import random_valid_gmap
-from reference_parse import reference_parse_gmap
-from test_properties import mutated
+from reference_parse import reference_parse_gmap, reference_parse_rule_scheme
+from test_properties import RULE_TEXTS, mutated
+
+# no explain phase: on a failing run, tracing the lines that each failing
+# example runs grew this module past 1.3 GB within five minutes; without
+# it the same failing run ended in 21 s at 95 MB
+SETTINGS = settings(
+    max_examples=500, deadline=None, database=None, phases=[p for p in Phase if p is not Phase.explain]
+)
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 VALUES = {
@@ -151,12 +170,25 @@ def _outcome(parse, text):
     return canonical, g.darts, g.graph.links, adjacency
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@SETTINGS
 @given(documents())
 def test_scan_agrees_with_the_token_parser(document):
     text, clean = document
     expected = _outcome(reference_parse_gmap, text)
     assert _outcome(parse_gmap, text) == expected
     if clean:
-        with mock.patch.object(textio, "_Tokenizer", side_effect=AssertionError("lexed")):
+        with mock.patch.object(textio, "_lex", side_effect=AssertionError("lexed")):
             assert _outcome(parse_gmap, text) == expected
+
+
+def _rule_outcome(parse, text):
+    try:
+        return parse(text)
+    except (GmapError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@SETTINGS
+@given(mutated(RULE_TEXTS))
+def test_rule_parser_agrees_with_the_token_list_parser(text):
+    assert _rule_outcome(parse_rule_scheme, text) == _rule_outcome(reference_parse_rule_scheme, text)

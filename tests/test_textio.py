@@ -1,11 +1,16 @@
 """Formats: canonical round-trips, parse errors, OFF/OBJ."""
 
+import tracemalloc
+from functools import cache
+
 import pytest
 
 from gmapkit import (
+    DimensionError,
     EmbeddingError,
     EmbeddingLayer,
     Gmap,
+    GmapError,
     OrbitType,
     ParseError,
     SchemeError,
@@ -21,6 +26,7 @@ from gmapkit import (
 from gmapkit.mesh import unify
 
 from conftest import FIXTURES, fixture_text, free_edge_graph
+from test_graph import grid_mesh
 
 GMAP_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.gmap"))
 RULE_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.jrule"))
@@ -76,6 +82,13 @@ def test_unknown_link_end_before_a_later_syntax_error():
     with pytest.raises(UnknownNodeError) as exc:
         parse_gmap(doc)
     assert str(exc.value) == "unknown node 'z' (line 5)"
+
+
+def test_a_link_after_a_loop_and_a_comment_names_its_line():
+    doc = "dimension 1\ndarts { a b }\nlinks { 0: a 1: a b 0: b # c\n 2: b\n}\n"
+    with pytest.raises(DimensionError) as exc:
+        parse_gmap(doc)
+    assert f"{exc.value.code} {exc.value}" == "E_DOMAIN dimension 2 out of range 0..1 (line 4)"
 
 
 def test_duplicate_dart_before_a_huge_color_component():
@@ -302,3 +315,59 @@ def test_obj_preserves_counts_from_off(name):
     assert len([l for l in lines if l.startswith("v ")]) == len(mesh.vertices)
     face_sizes = sorted(len(l.split()) - 1 for l in lines if l.startswith("f "))
     assert face_sizes == sorted(len(f) for f in mesh.faces)
+
+
+@cache
+def grid_document() -> tuple[str, str]:
+    """The canonical document of a 3.6k-dart grid, and its last dart."""
+    g = unify(grid_mesh(20))
+    assert len(g.darts) == 3600
+    return serialize_gmap(g), max(g.darts)
+
+
+def _faulty(fault: str) -> tuple[str, str, str]:
+    """A clean document, the same with ``fault``, and the start of its error."""
+    text, last = grid_document()
+    one_line = text.replace("\n", " ")
+    return {
+        "trailing token": (text, text + "x\n", "expected EOF, found 'x'"),
+        "late $": (text, text[:-6] + "$" + text[-6:], "unexpected character '$'"),
+        "duplicate dart": (
+            text,
+            text.replace("}\nlinks {", f"  {last}\n}}\nlinks {{", 1),
+            f"node {last!r} already present",
+        ),
+        "unknown link end": (
+            text,
+            text.replace("}\nembeddings {", "  0: zz\n}\nembeddings {", 1),
+            "unknown node 'zz'",
+        ),
+        "whole map on one line": (one_line, one_line + "x", "expected EOF, found 'x'"),
+    }[fault]
+
+
+def _traced_peak(text: str) -> tuple[int, str]:
+    """The tracemalloc peak of parsing ``text``, and its error, if any."""
+    tracemalloc.start()
+    try:
+        parse_gmap(text)
+        error = ""
+    except GmapError as exc:
+        error = str(exc)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["trailing token", "late $", "duplicate dart", "unknown link end", "whole map on one line"],
+)
+def test_a_parse_error_costs_little_more_memory_than_a_clean_parse(fault):
+    # placing an error must not lex the document into per-token objects
+    clean, faulty, error = _faulty(fault)
+    clean_peak, clean_error = _traced_peak(clean)
+    peak, found = _traced_peak(faulty)
+    assert not clean_error and found.startswith(error)
+    assert peak <= 1.25 * clean_peak, f"{peak / clean_peak:.2f}x the clean parse's peak"
