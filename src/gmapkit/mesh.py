@@ -86,25 +86,18 @@ def unify(mesh: PolygonalMesh) -> Gmap:
     edge_sides: dict[tuple[tuple[int, int], int], list[str]] = {}
 
     for m, face in enumerate(mesh.faces):
-        k = len(face)
-        face_edges = [_edge_key(face[p], face[(p + 1) % k]) for p in range(k)]
-        for p in range(k):
-            a, b = face[p], face[(p + 1) % k]
-            e = face_edges[p]
-            for v in (a, b):
-                name = dart_name(v, e, m)
+        pairs = []  # per edge of the face: its darts at its two endpoints
+        for a, b in zip(face, face[1:] + face[:1]):
+            e = _edge_key(a, b)
+            pair = dart_name(a, e, m), dart_name(b, e, m)
+            pairs.append(pair)
+            for v, name in zip((a, b), pair):
                 darts.append(name)
                 pos_values[name] = mesh.vertices[v]
                 edge_sides.setdefault((e, v), []).append(name)
-        for p in range(k):
-            a, b = face[p], face[(p + 1) % k]
-            e = face_edges[p]
-            links.append((0, (dart_name(a, e, m), dart_name(b, e, m))))
-        for p in range(k):
-            v = face[p]
-            prev_e = face_edges[(p - 1) % k]
-            next_e = face_edges[p]
-            links.append((1, (dart_name(v, prev_e, m), dart_name(v, next_e, m))))
+        links.extend((0, pair) for pair in pairs)
+        # corner p joins edge p-1's dart at its end and edge p's at its start
+        links.extend((1, (pairs[p - 1][1], pairs[p][0])) for p in range(len(pairs)))
 
     for _, names in sorted(edge_sides.items()):
         links.append((2, tuple(names)))  # one name: a 2-loop on a boundary edge

@@ -12,12 +12,18 @@ tokenizer's own, and the map is built in one step.  Only an error lexes
 the text, in one pass, and reads the failing record again token by token
 from its start, for the message, line and column of reading the whole
 document so.  ``.jrule`` schemes are lexed and then read token by token.
+
+A layer holds a value per dart, but the darts whose values are spelled
+alike share one object: parsing converts each distinct value text once,
+and serializing formats each value object once.  Neither is keyed by the
+value, as ``-0.0 == 0.0`` and ``1 == 1.0`` are written apart.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import filterfalse
 from typing import Any, NoReturn
 
 from .errors import (
@@ -181,10 +187,12 @@ def _format_value(value_type: str, value: Any) -> str:
 
 
 def serialize_gmap(g: Gmap) -> str:
-    """Canonical document for ``g``; parsing it back yields an equal map."""
-    for d in g.darts:
-        if not _GMAP_IDENT.fullmatch(d):
-            raise GmapError(f"dart name {d!r} is not serializable")
+    """Canonical document for ``g``; parsing it back yields an equal map.
+
+    A layer's value is formatted once per object (darts that share one
+    share its text), keyed by ``id``: the layer keeps every object alive."""
+    for d in filterfalse(_GMAP_IDENT.fullmatch, g.darts):
+        raise GmapError(f"dart name {d!r} is not serializable")
     lines = [f"dimension {g.n}"]
     lines.append("darts {")
     lines.extend(f"  {d}" for d in sorted(g.darts))
@@ -204,8 +212,11 @@ def serialize_gmap(g: Gmap) -> str:
             lines.append(f"    orbit:{' ' + dims if dims else ''}")
             lines.append(f"    type: {layer.value_type}")
             lines.append("    values {")
-            for dart in sorted(layer.values):
-                lines.append(f"      {dart}: {_format_value(layer.value_type, layer.values[dart])}")
+            values, formatted = layer.values, {}
+            for dart in sorted(values):
+                if (value := formatted.get(id(values[dart]))) is None:
+                    value = formatted[id(values[dart])] = _format_value(layer.value_type, values[dart])
+                lines.append(f"      {dart}: {value}")
             lines.append("    }")
             lines.append("  }")
         lines.append("}")
@@ -331,7 +342,9 @@ def parse_gmap(text: str) -> Gmap:
     topological constraints are not (run ``validate`` separately).
 
     The document is read record by record; its first error is raised
-    as reading it token by token raises it, with its position."""
+    as reading it token by token raises it, with its position.  In a
+    layer, the darts whose values are spelled alike share one value
+    object, converted once: ``-0.0`` and ``0.0`` are two objects."""
     pos, reading = 0, _HEADER  # the record a number past int()'s digit limit is in
     try:
         if not (m := _record(*_HEADER).match(text)):
@@ -376,12 +389,14 @@ def parse_gmap(text: str) -> Gmap:
                 pos = m.end()
                 tokens, value = _VALUE_TOKENS[value_type]
                 reading = (_ID, ":", *tokens)
-                values, record = {}, _record(*reading).match
+                values, by_text, record = {}, {}, _record(*reading).match
                 while m := record(text, pos):
                     dart_name, *parts = m.groups()
                     if dart_name in values:
                         break
-                    values[dart_name] = value(parts)
+                    if (v := by_text.get(key := tuple(parts))) is None:
+                        v = by_text[key] = value(parts)
+                    values[dart_name] = v
                     pos = m.end()
                 if not (m := _record(r"\}", r"\}").match(text, pos)):
                     if (m := dart(text, pos)) and m[1] in values:

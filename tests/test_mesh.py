@@ -2,10 +2,11 @@
 
 import pytest
 
-from gmapkit import MalformedFaceError, NonManifoldEdgeError
-from gmapkit.mesh import PolygonalMesh, unify
+from gmapkit import LabeledGraph, MalformedFaceError, NonManifoldEdgeError, import_off
+from gmapkit.mesh import PolygonalMesh, dart_name, unify
 
-from conftest import square_mesh, triangle_mesh, two_triangles_mesh
+from conftest import FIXTURES, fixture_text, square_mesh, triangle_mesh, two_triangles_mesh
+from test_graph import grid_mesh
 
 
 def test_triangle_unification_counts():
@@ -93,3 +94,39 @@ def test_non_manifold_edge_rejected():
     faces = ((0, 1, 2), (0, 1, 3), (0, 1, 4))
     with pytest.raises(NonManifoldEdgeError):
         PolygonalMesh(verts, faces)
+
+
+def reference_unify_graph(mesh: PolygonalMesh) -> LabeledGraph:
+    """The graph of ``unify(mesh)`` with every name made by a call per use:
+    each dart named where it is listed, and again for each link."""
+    darts, links, edge_sides = [], [], {}
+    for m, face in enumerate(mesh.faces):
+        k = len(face)
+        face_edges = [tuple(sorted((face[p], face[(p + 1) % k]))) for p in range(k)]
+        for p in range(k):
+            e = face_edges[p]
+            for v in (face[p], face[(p + 1) % k]):
+                darts.append(dart_name(v, e, m))
+                edge_sides.setdefault((e, v), []).append(dart_name(v, e, m))
+        for p in range(k):
+            e = face_edges[p]
+            links.append((0, (dart_name(face[p], e, m), dart_name(face[(p + 1) % k], e, m))))
+        for p in range(k):
+            v = face[p]
+            links.append((1, (dart_name(v, face_edges[(p - 1) % k], m), dart_name(v, face_edges[p], m))))
+    for _, names in sorted(edge_sides.items()):
+        links.append((2, tuple(names)))
+    return LabeledGraph.build(2, darts, links)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [*(import_off(fixture_text(p.name)) for p in sorted(FIXTURES.glob("*.off"))), grid_mesh(20)],
+    ids=[*(p.stem for p in sorted(FIXTURES.glob("*.off"))), "grid20"],
+)
+def test_unify_names_and_links_as_the_per_use_reference(mesh):
+    graph, reference = unify(mesh).graph, reference_unify_graph(mesh)
+    assert graph.nodes == reference.nodes
+    assert [(l.dim, l.ends, l.id) for l in graph.links] == [
+        (l.dim, l.ends, l.id) for l in reference.links
+    ]

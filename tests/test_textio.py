@@ -1,9 +1,11 @@
 """Formats: canonical round-trips, parse errors, OFF/OBJ."""
 
+import math
 import tracemalloc
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmapkit import (
     DimensionError,
@@ -23,9 +25,12 @@ from gmapkit import (
     serialize_gmap,
     serialize_rule_scheme,
 )
+from gmapkit.gmap import _GMAP_IDENT
 from gmapkit.mesh import unify
+from gmapkit.textio import _format_value
 
 from conftest import FIXTURES, fixture_text, free_edge_graph
+from oracle import random_valid_gmap
 from test_graph import grid_mesh
 
 GMAP_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.gmap"))
@@ -152,6 +157,143 @@ def test_all_value_types_round_trip():
     again = parse_gmap(text)
     assert again == g
     assert serialize_gmap(again) == text
+
+
+SIGNED_ZEROS = """\
+dimension 1
+darts {
+  a
+  b
+  c
+  d
+}
+links {
+  0: a b
+  0: c d
+  1: a
+  1: b
+  1: c
+  1: d
+}
+embeddings {
+  mass {
+    orbit:
+    type: scalar
+    values {
+      a: -0.0
+      b: 0.0
+      c: 1.0
+      d: 1.00
+    }
+  }
+  tag {
+    orbit:
+    type: string
+    values {
+      a: "say \\"hi\\"\\n"
+      b: "x\\\\y"
+      c: "say \\"hi\\"\\n"
+      d: "x\\\\y"
+    }
+  }
+}
+"""
+
+
+def test_equal_values_of_different_text_are_parsed_apart():
+    # values are shared by their text: -0.0 keeps its sign next to 0.0
+    g = parse_gmap(SIGNED_ZEROS)
+    mass, tag = g.embeddings["mass"].values, g.embeddings["tag"].values
+    assert math.copysign(1.0, mass["a"]) == -1.0 and math.copysign(1.0, mass["b"]) == 1.0
+    assert mass["c"] == mass["d"] == 1.0 and mass["c"] is not mass["d"]
+    assert tag == {"a": 'say "hi"\n', "b": "x\\y", "c": 'say "hi"\n', "d": "x\\y"}
+    assert tag["a"] is tag["c"] and tag["b"] is tag["d"]
+    assert serialize_gmap(g) == SIGNED_ZEROS.replace("1.00", "1.0")
+
+
+def test_parse_makes_one_object_per_distinct_value_text():
+    text, _ = grid_document()
+    g = parse_gmap(text)
+    layer = g.embeddings["pos"].values
+    texts = text[text.index("values {") :].splitlines()[1:-3]
+    assert len(texts) == len(layer) == 3600
+    distinct = len({line.split(": ", 1)[1] for line in texts})
+    assert len(set(map(id, layer.values()))) == distinct == len(g.cells(0))
+
+
+def per_dart_serialize(g: Gmap) -> str:
+    """The reference for ``serialize_gmap``: each dart's value formatted
+    on its own."""
+    for d in g.darts:
+        if not _GMAP_IDENT.fullmatch(d):
+            raise GmapError(f"dart name {d!r} is not serializable")
+    lines = [f"dimension {g.n}"]
+    lines.append("darts {")
+    lines.extend(f"  {d}" for d in sorted(g.darts))
+    lines.append("}")
+    lines.append("links {")
+    for dim, ends in sorted((l.dim, l.ends) for l in g.graph.links):
+        lines.append(f"  {dim}: {' '.join(ends)}")
+    lines.append("}")
+    if g.embeddings:
+        lines.append("embeddings {")
+        for name in sorted(g.embeddings):
+            layer = g.embeddings[name]
+            if not _GMAP_IDENT.fullmatch(name):
+                raise GmapError(f"layer name {name!r} is not serializable")
+            lines.append(f"  {name} {{")
+            dims = " ".join(str(d) for d in layer.domain)
+            lines.append(f"    orbit:{' ' + dims if dims else ''}")
+            lines.append(f"    type: {layer.value_type}")
+            lines.append("    values {")
+            for dart in sorted(layer.values):
+                lines.append(f"      {dart}: {_format_value(layer.value_type, layer.values[dart])}")
+            lines.append("    }")
+            lines.append("  }")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros and 1.0 (equal to the int 1) drawn often
+COORDS = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
+VALUES = {
+    "string": st.text(alphabet=st.sampled_from('"\\\n\t') | st.characters()),
+    "scalar": COORDS,
+    "point2d": st.tuples(COORDS, COORDS),
+    "point3d": st.tuples(COORDS, COORDS, COORDS),
+    "color_rgb": st.tuples(*[st.integers(0, 255)] * 3),
+}
+
+
+def _equal_copy(value):
+    """An object equal to ``value``, with the same spelling, made anew
+    (a string of one character or none is the interpreter's own)."""
+    if isinstance(value, tuple):
+        return tuple(list(value))
+    if isinstance(value, float):
+        return float(repr(value))
+    return (value + "x")[:-1]
+
+
+@st.composite
+def shared_value_gmaps(draw):
+    """A map with a layer of each value type; each dart's value is the
+    layer's one shared object, an equal copy of it or a value of its own."""
+    g = random_valid_gmap(draw(st.integers(0, 10_000)), n=2, max_darts=8)
+    layers = []
+    for kind, values in VALUES.items():
+        shared, chosen = draw(values), {}
+        for d in g.darts:
+            how = draw(st.sampled_from(["shared", "copy", "own"]))
+            chosen[d] = shared if how == "shared" else _equal_copy(shared) if how == "copy" else draw(values)
+        layers.append(EmbeddingLayer(kind, OrbitType(()), kind, chosen))
+    return Gmap(g.graph, layers)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(shared_value_gmaps())
+def test_serialize_formats_as_the_per_dart_reference(g):
+    assert serialize_gmap(g) == per_dart_serialize(g)
 
 
 def test_rule_dsl_parses_reference_rules():
