@@ -21,6 +21,7 @@ from reference_parse import reference_parse_gmap
 def workdir(tmp_path, monkeypatch):
     for name in (
         "square.gmap",
+        "square.off",
         "square_colored.gmap",
         "broken_incidence.gmap",
         "broken_cycle.gmap",
@@ -31,6 +32,23 @@ def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("GMAP_COLOR", "0")
     return tmp_path
+
+
+def test_validate_ok(workdir, capsys):
+    assert main(["validate", "square.gmap"]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_validate_reports_incidence(workdir, capsys):
+    assert main(["validate", "broken_incidence.gmap"]) == 1
+    out = capsys.readouterr().out
+    assert "E_INCIDENCE" in out
+    assert "dart=a dim=1" in out
+
+
+def test_validate_reports_cycle(workdir, capsys):
+    assert main(["validate", "broken_cycle.gmap"]) == 1
+    assert "E_CYCLE" in capsys.readouterr().out
 
 
 def test_validate_is_idempotent(workdir, capsys):
@@ -47,6 +65,13 @@ def test_validate_empty_map_of_huge_dimension(workdir, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
+def test_cells_prints_one_cell_per_line(workdir, capsys):
+    assert main(["cells", "square.gmap", "--dim", "0"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 4
+    assert all(len(line.split()) == 2 for line in lines)
+
+
 def test_orbits_prints_reachable_darts(workdir, capsys):
     assert main(["orbits", "square.gmap", "--type", "0,1", "--dart", "v0e0-1f0"]) == 0
     darts = capsys.readouterr().out.split()
@@ -59,6 +84,32 @@ def test_orbits_with_a_dimension_past_the_map_is_a_domain_error(workdir, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "E_DOMAIN orbit dimension 9 out of range 0..2\n"
+
+
+def test_unify_writes_canonical_document(workdir, capsys):
+    assert main(["unify", "square.off", "-o", "out.gmap"]) == 0
+    assert (workdir / "out.gmap").read_text() == fixture_text("square.gmap")
+
+
+def test_instantiate_writes_both_sides(workdir):
+    rc = main(
+        [
+            "instantiate",
+            "vertex_insert_02.jrule",
+            "square.gmap",
+            "--dart",
+            "v0e0-1f0",
+            "-o",
+            "left.gmap,right.gmap",
+        ]
+    )
+    assert rc == 0
+    from gmapkit import parse_gmap
+
+    left = parse_gmap((workdir / "left.gmap").read_text())
+    right = parse_gmap((workdir / "right.gmap").read_text())
+    assert len(left.darts) == 2
+    assert len(right.darts) == 4
 
 
 def test_apply_end_to_end(workdir, capsys):
@@ -146,6 +197,13 @@ def test_apply_on_a_broken_host_is_one_match_line(workdir, capsys):
         "dart 'a1' has 2 links of dimension 2, expected 1\n"
     )
     assert not (workdir / "out.gmap").exists()
+
+
+def test_export_obj(workdir):
+    assert main(["export-obj", "square.gmap", "--pos", "pos", "-o", "out.obj"]) == 0
+    text = (workdir / "out.obj").read_text()
+    assert text.count("v ") == 4
+    assert text.count("f ") == 1
 
 
 def _one_error_line(capsys, argv, code, line):
@@ -270,6 +328,15 @@ def test_bad_layer_header_is_the_reference_parsers_error(workdir, capsys, old, n
     with pytest.raises(ParseError) as exc:
         reference_parse_gmap(text)
     _one_error_line(capsys, ["validate", "it.gmap"], 2, f"E_SYNTAX {exc.value}")
+
+
+def test_info(workdir, capsys):
+    assert main(["info", "square.gmap"]) == 0
+    out = capsys.readouterr().out
+    assert "dimension: 2" in out
+    assert "darts: 8" in out
+    assert "cells[0]: 4" in out
+    assert "valid: yes" in out
 
 
 def test_usage_error_exits_2(workdir, capsys):
