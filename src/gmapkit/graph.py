@@ -25,6 +25,13 @@ library itself edits in place: rule application on a
 one-item edit, ``_edit(nodes=(name,))`` or ``_edit(links=((dim, ends),))``,
 adds one node or link.
 
+The collector rule: a bulk build, ``_edit`` and the ``parse_gmap`` and
+``unify`` around it, runs under :func:`_collector_paused`, which pauses
+the cyclic garbage collector and restores the caller's setting when the
+build returns or raises.  A build makes tracked objects (a ``Link`` and
+a tuple per link, the records it reads) and frees few, so a collection
+during one walks a heap that grows with the map and finds little to free.
+
 A node's tuple never changes.  A copy shares every tuple with its
 original, so copying costs two dict copies; an orbit graph (``_sub``)
 shares its host's ``Link`` objects, ids, next id and each tuple with no
@@ -34,8 +41,10 @@ it touches, so no edit of one of these graphs shows in another.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import wraps
 from operator import attrgetter
 from typing import Collection, Iterable
 
@@ -67,6 +76,23 @@ _CANONICAL = attrgetter("dim", "ends", "id")
 # Python 3.11); a whole-map Dual makes each link four times.
 _new = object.__new__
 _set_dim, _set_ends, _set_id = Link.dim.__set__, Link.ends.__set__, Link.id.__set__
+
+
+def _collector_paused(build):
+    """``build``, run with the cyclic collector paused and the caller's
+    setting restored when it returns or raises (the collector rule)."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
 
 
 def dimension_error(dim: int, top: int) -> DimensionError:
@@ -131,6 +157,7 @@ class LabeledGraph:
 
     # -- in-place edit (library-internal) --------------------------------
 
+    @_collector_paused
     def _edit(
         self,
         drop: Iterable[str] = (),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedFaceError, NonManifoldEdgeError
 from .gmap import EmbeddingLayer, Gmap
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _collector_paused
 from .orbits import OrbitType
 
 Point3 = tuple[float, float, float]
@@ -69,6 +69,7 @@ def dart_name(vertex: int, edge: tuple[int, int], face: int) -> str:
     return f"v{vertex}e{a}-{b}f{face}"
 
 
+@_collector_paused
 def unify(mesh: PolygonalMesh) -> Gmap:
     """Rebuild the 2-Gmap of ``mesh`` by enumerating incident triples.
 

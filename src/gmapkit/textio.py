@@ -8,10 +8,15 @@ nodes by name.  All output uses LF line endings.
 
 A ``.gmap`` document is read record by record (the header, a dart name,
 a link, a layer header, one dart's value) with patterns built from the
-tokenizer's own, and the map is built in one step.  Only an error lexes
-the text, in one pass, and reads the failing record again token by token
-from its start, for the message, line and column of reading the whole
-document so.  ``.jrule`` schemes are lexed and then read token by token.
+tokenizer's own, and the map is built in one step.  The darts, links and
+each layer's values are first read in canonical runs: up to 64 records
+as ``serialize_gmap`` writes them, matched at once and split at their
+line breaks.  The record loop reads on from where a run stops, so
+hand-formatted text and every error take the record-by-record path.
+Only an error lexes the text, in one pass, and reads the failing record
+again token by token from its start, for the message, line and column of
+reading the whole document so.  ``.jrule`` schemes are lexed and then
+read token by token.
 
 A layer holds a value per dart, but the darts whose values are spelled
 alike share one object: parsing converts each distinct value text once,
@@ -35,7 +40,7 @@ from .errors import (
     UnknownLayerError,
 )
 from .gmap import _GMAP_CHAR, _GMAP_IDENT, EmbeddingLayer, Gmap
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _collector_paused
 from .orbits import REMOVE, GeneralizedOrbitType, OrbitType
 from .scheme import _NAME, GraphScheme, RuleScheme, SchemeArc
 
@@ -271,14 +276,36 @@ def _record(*parts: str) -> re.Pattern:
     return re.compile("".join(_B + t for t in tokens), re.S)
 
 
-#: value type -> (the tokens of one value, the value from their groups)
+#: value type -> (the tokens of one value, the value from its key: the
+#: tokens' texts joined by single spaces, by which darts share one object)
 _VALUE_TOKENS = {
-    "string": ((_STR,), lambda v: _unquote(v[0])),
-    "scalar": ((_NUM,), lambda v: float(v[0])),
-    "point2d": ((_NUM, _NUM), lambda v: tuple(map(float, v))),
-    "point3d": ((_NUM, _NUM, _NUM), lambda v: tuple(map(float, v))),
-    "color_rgb": ((_INT, _INT, _INT), lambda v: tuple(map(int, v))),
+    "string": ((_STR,), _unquote),
+    "scalar": ((_NUM,), float),
+    "point2d": ((_NUM, _NUM), lambda v: tuple(map(float, v.split()))),
+    "point3d": ((_NUM, _NUM, _NUM), lambda v: tuple(map(float, v.split()))),
+    "color_rgb": ((_INT, _INT, _INT), lambda v: tuple(map(int, v.split()))),
 }
+
+# Canonical runs: records as serialize_gmap writes them, a line break and
+# a two- or six-space indent, then their tokens with single spaces and a
+# line break after the last.  A run's token is the tokenizer's own, as a
+# blank, ':' or line break follows it, so a run reads the records the
+# record loop would, split at the same places.  A link with one end must
+# be followed by a link or the section's end, where the record loop's
+# reading of its second end would find no name.  A run's digits are
+# ASCII; a record a run does not take is the record loop's to read.
+_LINE, _VALUE_LINE = "\n  ", "\n      "  # the start of a canonical record
+_DART_RUN = rf"{_LINE}{_GMAP_IDENT.pattern}(?=\n)"
+_LINK_RUN = rf"{_LINE}\d+: {_GMAP_IDENT.pattern}(?: {_GMAP_IDENT.pattern})?(?=\n(?:  \d|\}}))"
+#: a value part -> its token in a run
+_RUN_TOKENS = {_NUM: _NUMBER, _INT: r"-?\d+", _STR: _STRING}
+
+
+@cache
+def _run(record: str) -> re.Pattern:
+    """Up to 64 ``record``s in a row (the bound keeps the match state
+    small), with ASCII digits."""
+    return re.compile(f"(?:{record}){{0,64}}", re.A)
 
 
 def _fail(text: str, pos: int, parts: tuple = (), loop: tuple = (), message: str = "") -> NoReturn:
@@ -337,14 +364,16 @@ def _build(text: str, n: int, darts: list[str], links: list) -> LabeledGraph:
     return graph
 
 
+@_collector_paused
 def parse_gmap(text: str) -> Gmap:
     """Parse a .gmap document; structural invariants are enforced, the
     topological constraints are not (run ``validate`` separately).
 
-    The document is read record by record; its first error is raised
-    as reading it token by token raises it, with its position.  In a
-    layer, the darts whose values are spelled alike share one value
-    object, converted once: ``-0.0`` and ``0.0`` are two objects."""
+    The document is read in canonical runs and record by record where
+    they stop; its first error is raised as reading it token by token
+    raises it, with its position.  In a layer, the darts whose values
+    are spelled alike share one value object, converted once: ``-0.0``
+    and ``0.0`` are two objects."""
     pos, reading = 0, _HEADER  # the record a number past int()'s digit limit is in
     try:
         if not (m := _record(*_HEADER).match(text)):
@@ -354,12 +383,27 @@ def parse_gmap(text: str) -> Gmap:
         # the graph is built even when a record fails to read, so that an
         # error at a dart or link before that record comes first
         try:
+            run = _run(_DART_RUN).match
+            while (end := run(text, pos).end()) > pos:
+                darts += text[pos:end].split(_LINE)[1:]
+                pos = end
             while m := dart(text, pos):
                 darts.append(m[1])
                 pos = m.end()
             if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
                 _fail(text, pos, (r"\}", "links", r"\{"))
             pos, reading = m.end(), _LINK
+            run = _run(_LINK_RUN).match
+            while (end := run(text, pos).end()) > pos:
+                size = len(links)
+                try:
+                    for line in text[pos:end].split(_LINE)[1:]:
+                        dim, _, ends = line.partition(": ")
+                        links.append((int(dim), tuple(ends.split(" "))))  # split's list has spare room
+                except ValueError:  # past the digit limit: the record loop reads the run
+                    del links[size:]
+                    break
+                pos = end
             link = _record(*_LINK_RECORD).match
             while m := link(text, pos):
                 dim, a, b = m.groups()
@@ -390,12 +434,31 @@ def parse_gmap(text: str) -> Gmap:
                 tokens, value = _VALUE_TOKENS[value_type]
                 reading = (_ID, ":", *tokens)
                 values, by_text, record = {}, {}, _record(*reading).match
+                value_run = " ".join(_RUN_TOKENS[t] for t in tokens)
+                run = _run(rf"{_VALUE_LINE}{_GMAP_IDENT.pattern}: {value_run}(?=\n)").match
+                while (end := run(text, pos).end()) > pos:
+                    size, lines = len(values), text[pos:end].split(_VALUE_LINE)[1:]
+                    try:
+                        for line in lines:
+                            dart_name, _, key = line.partition(": ")
+                            if (v := by_text.get(key)) is None:
+                                v = by_text[key] = value(key)
+                            values[dart_name] = v
+                    except ValueError:  # past the digit limit
+                        pass
+                    if len(values) < size + len(lines):
+                        # that, or a repeated dart: the run's darts are taken
+                        # out, and the record loop reads the run to the error
+                        while len(values) > size:
+                            values.popitem()
+                        break
+                    pos = end
                 while m := record(text, pos):
                     dart_name, *parts = m.groups()
                     if dart_name in values:
                         break
-                    if (v := by_text.get(key := tuple(parts))) is None:
-                        v = by_text[key] = value(parts)
+                    if (v := by_text.get(key := " ".join(parts))) is None:
+                        v = by_text[key] = value(key)
                     values[dart_name] = v
                     pos = m.end()
                 if not (m := _record(r"\}", r"\}").match(text, pos)):

@@ -1,7 +1,9 @@
 """Graph substrate: construction ops, incidence queries, isomorphism."""
 
+import gc
 import itertools
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,9 @@ from gmapkit import (
     DuplicateNodeError,
     GmapError,
     LabeledGraph,
+    ParseError,
     UnknownNodeError,
+    parse_gmap,
 )
 from gmapkit.mesh import PolygonalMesh, unify
 
@@ -86,6 +90,53 @@ def test_incident_links_free_edge():
 def test_incident_links_unknown_node():
     with pytest.raises(UnknownNodeError):
         free_edge_graph().incident_links("z")
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+def collecting(request):
+    """The collector's setting before the call; the test's own is restored."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _seeing_the_collector(seen: list, items):
+    """``items``, noting whether the collector is on as each is read."""
+    for item in items:
+        seen.append(gc.isenabled())
+        yield item
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        ({"nodes": ["b", "a"]}, DuplicateNodeError),
+        ({"links": [(0, ("a", "b")), (0, ("a", "zz"))]}, UnknownNodeError),
+        ({"drop_nodes": ["zz"]}, UnknownNodeError),
+        ({"nodes": ["c"], "links": [(0, ("a", "c"))]}, None),
+    ],
+)
+def test_edit_pauses_the_collector_and_restores_the_callers_setting(edit, error, collecting):
+    g = LabeledGraph.build(2, ["a", "b"])
+    seen: list[bool] = []
+    with pytest.raises(error) if error else nullcontext():
+        g._edit(**{part: _seeing_the_collector(seen, items) for part, items in edit.items()})
+    assert gc.isenabled() is collecting
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: parse_gmap("dimension 2\ndarts {\n  a\n  a\n}\n"), ParseError),
+        (lambda: unify(grid_mesh(2)), None),
+    ],
+)
+def test_parse_and_unify_restore_the_callers_collector_setting(build, error, collecting):
+    with pytest.raises(error) if error else nullcontext():
+        build()
+    assert gc.isenabled() is collecting
 
 
 def test_add_then_remove_link_restores_graph():

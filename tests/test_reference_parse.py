@@ -8,12 +8,23 @@ blank next to a symbol), planted faults, and random edits of all of
 these.  They must give the same map, per-dart link lists and link ids
 included, or raise the same exception class with the same message.
 ``parse_gmap`` lexes a document only to place an error, so a document
-that is only reflowed must parse with the lexer switched off.  Both
-``.jrule`` parsers read random edits of the fixture rules and must give
-equal schemes or the same exception class and message.
+that is only reflowed must parse with the lexer switched off.
+
+``parse_gmap`` reads a canonical section in runs of up to 64 records and
+reads on record by record where a run stops, so both parsers also read
+a unified grid of a few hundred records per section with a few lines
+edited past the first run: comments, blank lines, CRLF, a link's last
+end on the next line, huge link dimensions, repeated darts and values
+spelled apart.  A document that parses must do so without the lexer,
+and its darts whose values are spelled alike, and only those, must
+share one value object.
+
+Both ``.jrule`` parsers read random edits of the fixture rules and must
+give equal schemes or the same exception class and message.
 """
 
 import re
+from functools import cache
 from unittest import mock
 
 from hypothesis import Phase, given, settings, strategies as st
@@ -23,15 +34,18 @@ from gmapkit import (
     Gmap,
     GmapError,
     OrbitType,
+    ParseError,
     parse_gmap,
     parse_rule_scheme,
     serialize_gmap,
     textio,
 )
 from gmapkit.gmap import VALUE_TYPES
+from gmapkit.mesh import unify
 
 from oracle import random_valid_gmap
 from reference_parse import reference_parse_gmap, reference_parse_rule_scheme
+from test_graph import grid_mesh
 from test_properties import RULE_TEXTS, mutated
 
 # no explain phase: on a failing run, tracing the lines that each failing
@@ -179,6 +193,135 @@ def test_scan_agrees_with_the_token_parser(document):
     if clean:
         with mock.patch.object(textio, "_lex", side_effect=AssertionError("lexed")):
             assert _outcome(parse_gmap, text) == expected
+
+
+#: value type -> the value of the k-th dart, one of a few, so darts share
+SCALE_VALUES = {
+    "string": lambda k: ["", 'say "hi"\n', "x\\y", "a: b"][k % 4],
+    "scalar": lambda k: [0.0, -0.0, 1.0, 1e-05, 2.5e20][k % 5],
+    "point2d": lambda k: (float(k % 3), -0.5),
+    "color_rgb": lambda k: (k % 7, 255, -(k % 2)),
+}
+
+
+@cache
+def scale_lines() -> tuple[str, ...]:
+    """The lines of the canonical document of a unified 324-dart grid
+    (510 links) with its ``pos`` layer and a layer of every other value
+    type."""
+    g = unify(grid_mesh(6))
+    darts = sorted(g.darts)
+    layers = [
+        EmbeddingLayer(kind, OrbitType(()), kind, {d: value(k) for k, d in enumerate(darts)})
+        for kind, value in SCALE_VALUES.items()
+    ]
+    return tuple(serialize_gmap(Gmap(g.graph, [*g.embeddings.values(), *layers])).split("\n"))
+
+
+def _sections(lines) -> dict[str, list[int]]:
+    """Section -> the indices of its record lines: ``darts``, ``links``
+    and each layer by name."""
+    sections, records, layer = {}, None, None
+    for k, line in enumerate(lines):
+        word = line.strip(" {")
+        if word in ("darts", "links"):
+            records = sections[word] = []
+        elif word == "values":
+            records = sections[layer] = []
+        elif line.endswith("{"):
+            layer = word
+        elif word == "}":
+            records = None
+        elif records is not None:
+            records.append(k)
+    return sections
+
+
+HUGE = "1" * 5000  # past int()'s 4,300-digit limit
+EVERYWHERE = ["comment", "blank line", "CRLF"]
+SECTION_EDITS = {
+    "darts": EVERYWHERE + ["repeated dart"],
+    "links": EVERYWHERE + ["last end on the next line", "ten-digit dimension", "dimension past int()"],
+    # a value's tokens all spelled as one of these
+    "values": EVERYWHERE + ["repeated dart", "1e5e5", "-0.0", "0.0", "1.0", "1.00", HUGE],
+}
+
+
+@st.composite
+def scale_documents(draw):
+    """The scale document with one to three records past the first run
+    of their section edited."""
+    lines = list(scale_lines())
+    sections = _sections(lines)
+    edits = {}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(SECTION_EDITS)))
+        layers = [name for name in sections if name not in SECTION_EDITS]
+        records = sections[kind if kind != "values" else draw(st.sampled_from(layers))]
+        k = draw(st.integers(64, len(records) - 1))
+        edit = draw(st.sampled_from(SECTION_EDITS[kind]))
+        edits[records[k]] = edit, records[draw(st.integers(0, k))]
+    for at in sorted(edits, reverse=True):
+        (edit, earlier), line = edits[at], lines[at]
+        before, _, last = line.rpartition(" ")  # a link without its last end
+        head, _, value = line.partition(": ")
+        lines[at : at + 1] = {
+            "comment": ["# a comment", line],
+            "blank line": ["", line],
+            "CRLF": [line + "\r"],
+            "repeated dart": [line, lines[earlier]],
+            "last end on the next line": [before, "  " + last],
+            "ten-digit dimension": ["  1234567890: " + value],
+            "dimension past int()": [f"  {HUGE}: {value}"],
+        }.get(edit, [f"{head}: {' '.join([edit] * len(value.split()))}"])
+    return "\n".join(lines)
+
+
+def _spellings(text: str) -> dict[str, dict[str, str]]:
+    """Layer -> dart -> the text of its value, in a document with one
+    record a line."""
+    spelled, values = {}, None
+    for line in text.splitlines():
+        if m := re.fullmatch(r"  (\S+) \{", line):
+            values = spelled[m[1]] = {}
+        elif m := re.fullmatch(r"      (\S+): (.*)", line):
+            values[m[1]] = m[2]
+    return spelled
+
+
+def _classes(key_of: dict) -> set[frozenset]:
+    """The keys of ``key_of`` grouped by their value."""
+    classes = {}
+    for dart, key in key_of.items():
+        classes.setdefault(key, set()).add(dart)
+    return set(map(frozenset, classes.values()))
+
+
+def _expected(text: str):
+    """The frozen parser's outcome; where it lets int() raise past the
+    digit limit, the syntax error that ``parse_gmap`` raises at the number."""
+    outcome = _outcome(reference_parse_gmap, text)
+    if outcome[0] is ValueError:
+        at = text.index(HUGE)
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        return ParseError, str(ParseError(f"number of {len(HUGE)} digits is too long", line, column))
+    return outcome
+
+
+@settings(SETTINGS, max_examples=100)
+@given(scale_documents())
+def test_scan_agrees_with_the_token_parser_at_scale(text):
+    expected = _expected(text)
+    if not isinstance(expected[0], str):  # an error
+        assert _outcome(parse_gmap, text) == expected
+        return
+    with mock.patch.object(textio, "_lex", side_effect=AssertionError("lexed")):
+        assert _outcome(parse_gmap, text) == expected
+        g = parse_gmap(text)
+    spellings = _spellings(text)
+    for name, layer in g.embeddings.items():
+        shared = _classes({d: id(v) for d, v in layer.values.items()})
+        assert shared == _classes(spellings[name]), name
 
 
 def _rule_outcome(parse, text):

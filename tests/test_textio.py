@@ -459,6 +459,38 @@ def test_obj_preserves_counts_from_off(name):
     assert face_sizes == sorted(len(f) for f in mesh.faces)
 
 
+@pytest.mark.parametrize("section", ["links {", "    values {"])
+def test_a_number_past_the_digit_limit_inside_a_run_is_placed_at_its_record(section):
+    # a run converts its numbers after matching all its records; one past
+    # int()'s limit is the record loop's to place, not the run's start
+    g = unify(grid_mesh(20))
+    rgb = EmbeddingLayer("rgb", OrbitType(()), "color_rgb", {d: (1, 2, 3) for d in g.darts})
+    lines = serialize_gmap(Gmap(g.graph, [rgb])).split("\n")
+    at = lines.index(section) + 100  # a record inside the second run
+    huge = "1" * 5000
+    # a link's dimension, or a value's first component
+    lines[at] = "  " + huge + lines[at][3:] if section == "links {" else lines[at].replace(": 1", ": " + huge)
+    place = f"line {at + 1}, column {lines[at].index(huge) + 1}"
+    with pytest.raises(ParseError, match=rf"^number of 5000 digits is too long \({place}\)$"):
+        parse_gmap("\n".join(lines))
+
+
+def test_parse_peak_memory_stays_near_what_the_map_keeps():
+    # canonical runs are bounded: with an unbounded repeat, which keeps
+    # match state per record and splits a whole section at once, the peak
+    # was 3.7x what the map keeps (1.39x with runs of 64)
+    text = serialize_gmap(unify(grid_mesh(40)))
+    parse_gmap(grid_document()[0])  # patterns compiled before tracing
+    tracemalloc.start()
+    try:
+        g = parse_gmap(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.darts) == 14_400
+    assert peak <= 1.6 * kept, f"peak {peak / kept:.2f}x what the parsed map keeps"
+
+
 @cache
 def grid_document() -> tuple[str, str]:
     """The canonical document of a 3.6k-dart grid, and its last dart."""
