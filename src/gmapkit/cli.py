@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import DimensionError, GmapError, ParseError, PostValidationError
@@ -144,6 +145,7 @@ def cmd_info(args) -> int:
     return 0
 
 
+@cache  # one parser per process; it holds no state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmapkit",
@@ -153,30 +155,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the topological and embedding constraints")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("orbits", help="print the orbit of a dart")
     p.add_argument("file")
     p.add_argument("--type", required=True, help="orbit type, e.g. 0,2")
     p.add_argument("--dart", required=True)
-    p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("cells", help="print the i-cells, one per line")
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(func=cmd_cells)
 
     p = sub.add_parser("unify", help="rebuild the 2-Gmap of an OFF mesh")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_unify)
 
     p = sub.add_parser("instantiate", help="unfold a rule scheme at a dart")
     p.add_argument("rule")
     p.add_argument("file")
     p.add_argument("--dart", required=True)
     p.add_argument("-o", "--output", required=True, help="left.gmap,right.gmap")
-    p.set_defaults(func=cmd_instantiate)
 
     p = sub.add_parser("apply", help="apply a rule scheme at a dart")
     p.add_argument("rule")
@@ -184,17 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dart", required=True)
     p.add_argument("--ebd", action="append", help='directive, e.g. "pos:n1=midpoint(n0)"')
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("export-obj", help="write an OBJ file from a valid 2-Gmap")
     p.add_argument("file")
     p.add_argument("--pos", default="pos", help="name of the point3d vertex layer")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_export_obj)
 
     p = sub.add_parser("info", help="print summary statistics")
     p.add_argument("file")
-    p.set_defaults(func=cmd_info)
 
     return parser
 
@@ -206,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # the command's function is looked up when it runs, not held by the
+        # parser, so a replaced cmd_* attribute is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except GmapError as exc:
         return _fail(exc)
     except OSError as exc:

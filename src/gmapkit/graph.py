@@ -16,21 +16,25 @@ is a contract: the starts first, in order and deduplicated, then at each
 node its links in canonical order, each link's ends in sorted order.
 
 There is one write, the in-place :meth:`LabeledGraph._edit`: it removes
-links by id and nodes, then adds nodes and links.  It gathers each
-touched node's new links in a list and, at the end, replaces the node's
-tuple once with its kept links plus those, sorted.
+links by id and nodes, then adds nodes and links.  The first time it
+touches a node, the node's tuple becomes a list in the adjacency; the
+dropped links leave the lists in one pass once the removals end, added
+links join them, and at the end each list is sorted once and becomes the
+node's new tuple.  So the edit is linear in each node's links.
 :meth:`LabeledGraph.build` is that edit on an empty graph.  Only the
 library itself edits in place: rule application on a
 :meth:`~LabeledGraph.copy` of the host graph, and ``parse_gmap``.  A
 one-item edit, ``_edit(nodes=(name,))`` or ``_edit(links=((dim, ends),))``,
 adds one node or link.
 
-The collector rule: a bulk build, ``_edit`` and the ``parse_gmap`` and
-``unify`` around it, runs under :func:`_collector_paused`, which pauses
-the cyclic garbage collector and restores the caller's setting when the
-build returns or raises.  A build makes tracked objects (a ``Link`` and
-a tuple per link, the records it reads) and frees few, so a collection
-during one walks a heap that grows with the map and finds little to free.
+The collector rule: a bulk build runs under :func:`_collector_paused`,
+which pauses the cyclic garbage collector and restores the caller's
+setting when the build returns or raises.  The builds are ``_edit``, the
+``parse_gmap`` and ``unify`` around it, and the three steps of a rewrite:
+``instantiate_rule``, ``extend_match`` (so ``complete_match``) and
+``apply_rule``.  A build makes tracked objects (a ``Link`` and a tuple
+per link, the records it reads) and frees few, so a collection during
+one walks a heap that grows with the map and finds little to free.
 
 A node's tuple never changes.  A copy shares every tuple with its
 original, so copying costs two dict copies; an orbit graph (``_sub``)
@@ -42,7 +46,6 @@ it touches, so no edit of one of these graphs shows in another.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import wraps
 from operator import attrgetter
@@ -174,38 +177,38 @@ class LabeledGraph:
         whose links change gets one new tuple, built once at the end."""
         adj, made = self._adj, self._links
         top, next_id = self.ambient_dimension, self._next_link
-        gone: set[str] = set()  # ids of removed links
-        # an added node gathers its links in a list in adj, and the lists
-        # become tuples in node order, the order walks read them in; an old
-        # node gathers its added links in touched, where any entry, even an
-        # empty one, gets the node a new tuple
-        added: list[str] = []
-        touched: defaultdict[str, list[Link]] = defaultdict(list)
+        lists: list[str] = []  # nodes whose entries in adj became lists, sorted at the end
         try:
-            for link_id in drop:
-                link = made.pop(link_id, None)
-                if link is None:
-                    raise UnknownLinkError(f"unknown link id {link_id!r}")
-                gone.add(link_id)
-                for u in link.ends:
-                    touched[u]
-            for name in drop_nodes:
-                if name not in adj:
-                    raise UnknownNodeError(f"unknown node {name!r}")
-                for link in adj.pop(name):
-                    if link.id not in gone:
-                        del made[link.id]
-                        gone.add(link.id)
-                        for u in link.ends:
-                            touched[u]
-                touched.pop(name, None)
+            try:
+                for link_id in drop:
+                    link = made.pop(link_id, None)
+                    if link is None:
+                        raise UnknownLinkError(f"unknown link id {link_id!r}")
+                    for u in link.ends:
+                        if adj[u].__class__ is tuple:
+                            adj[u] = list(adj[u])
+                            lists.append(u)
+                for name in drop_nodes:
+                    at = adj.pop(name, None)
+                    if at is None:
+                        raise UnknownNodeError(f"unknown node {name!r}")
+                    for link in at:
+                        if made.pop(link.id, None) is not None:  # not dropped before
+                            for u in link.ends:
+                                if adj.get(u).__class__ is tuple:
+                                    adj[u] = list(adj[u])
+                                    lists.append(u)
+            finally:
+                for u in lists:  # dropped links leave in one pass, linear in the node's links
+                    if u in adj:
+                        adj[u] = [l for l in adj[u] if l.id in made]
             for name in nodes:
                 if not name:
                     raise UnknownNodeError("node name must be non-empty")
                 if name in adj:
                     raise DuplicateNodeError(f"node {name!r} already present")
                 adj[name] = []
-                added.append(name)
+                lists.append(name)
             for dim, ends in links:
                 # the usual link is checked inline; any other one goes
                 # through _checked_ends, which raises the first error.
@@ -225,18 +228,17 @@ class LabeledGraph:
                 made[link_id] = link
                 for u in ends:
                     at = adj[u]
-                    if at.__class__ is tuple:  # a node from before the edit
-                        at = touched[u]
+                    if at.__class__ is tuple:
+                        at = adj[u] = list(at)
+                        lists.append(u)
                     at.append(link)
         finally:
             self._next_link = next_id
-            for u in added:
-                adj[u].sort(key=_CANONICAL)
-                adj[u] = tuple(adj[u])
-            for u, at in touched.items():
-                at.extend([l for l in adj[u] if l.id not in gone] if gone else adj[u])
-                at.sort(key=_CANONICAL)
-                adj[u] = tuple(at)
+            for u in lists:  # a dropped node has no entry; a repeat is done
+                at = adj.get(u)
+                if at.__class__ is list:
+                    at.sort(key=_CANONICAL)
+                    adj[u] = tuple(at)
 
     def _checked_ends(self, ends: tuple[str, ...], dim: int) -> tuple[str, ...]:
         """The sorted distinct ends of a new link, after its checks."""

@@ -18,7 +18,9 @@ depend on the orbit dart is computed once per layer and node.  The
 links and darts change in one :meth:`LabeledGraph._edit` of a copy of
 the host, which never changes the host: the copy's graph shares each
 dart's link tuple with the host (:meth:`LabeledGraph.copy`), and the
-edit builds one new tuple per dart it touches.  The result is then
+edit builds one new tuple per dart it touches.  Instantiation, matching
+and application each run with the cyclic collector paused, the collector
+rule of :mod:`gmapkit.graph`.  The result is then
 validated: instantiation alone does not guarantee it is a generalized
 map, so the check is mandatory.  On a valid host it covers only the
 darts near the rewrite (``Gmap._validate_rewritten``), with the same
@@ -43,7 +45,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .gmap import _GMAP_IDENT, EmbeddingLayer, Gmap, normalize_value, values_equal
-from .graph import LabeledGraph, Link
+from .graph import LabeledGraph, Link, _collector_paused
 from .scheme import _NAME, InstantiatedRule, instance_name, split_instance
 
 
@@ -70,6 +72,7 @@ def _forced(gmap: Gmap, dart: str, dim: int) -> Link:
         raise MatchError(f"host is not well-formed at dart {dart!r}, dim {dim}: {exc}") from exc
 
 
+@_collector_paused
 def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> Match:
     """Extend ``seed`` to the unique total match of ``pattern`` into ``gmap``.
 
@@ -265,6 +268,7 @@ def _directive_value(
 # application
 
 
+@_collector_paused
 def apply_rule(
     rule: InstantiatedRule,
     gmap: Gmap,

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import SchemeError
-from .graph import LabeledGraph, dimension_error
+from .graph import LabeledGraph, _collector_paused, dimension_error
 from .orbits import GeneralizedOrbitType, OrbitType, RelabelingFunction
 
 if TYPE_CHECKING:
@@ -217,6 +217,7 @@ class InstantiatedRule:
         return {instance_name(self.anchor, self.rule.hook): self.anchor}
 
 
+@_collector_paused
 def instantiate_rule(rule: RuleScheme, gmap: "Gmap", dart: str) -> InstantiatedRule:
     """Unfold both sides of ``rule`` with the parameter orbit of ``dart``:
     the left side as a graph, the right side as its sets."""

@@ -1,5 +1,6 @@
 """Shared fixtures: reference shapes, rule texts, and fixture paths."""
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,15 @@ from gmapkit import (
 from gmapkit.mesh import PolygonalMesh, unify
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
+def collecting(request):
+    """The collector's setting before the call; the test's own is restored."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 def fixture_text(name: str) -> str:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -90,15 +91,6 @@ def test_incident_links_free_edge():
 def test_incident_links_unknown_node():
     with pytest.raises(UnknownNodeError):
         free_edge_graph().incident_links("z")
-
-
-@pytest.fixture(params=[True, False], ids=["collecting", "paused"])
-def collecting(request):
-    """The collector's setting before the call; the test's own is restored."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
 
 
 def _seeing_the_collector(seen: list, items):
@@ -360,8 +352,10 @@ def _identity(g):
 def _batched_edit(rng, g, n, step):
     """One ``_edit`` call with several removals and additions: loops,
     parallel links, links at the ends of dropped links, and now and then
-    a node dropped and its name added again.  It must leave ``g`` as the
-    same edits made one at a time leave a copy of it."""
+    a node dropped and its name added again, or one fault in the middle:
+    an unknown link id after real drops, an unknown node after them, or a
+    bad link after real additions.  It must leave ``g`` as the same edits
+    made one at a time leave a copy of it, and fail as they fail."""
     drop = [l.id for l in rng.sample(g.links, min(len(g.links), rng.randint(1, 4)))]
     drop_nodes = rng.sample(g.nodes, min(len(g.nodes), rng.randint(0, 1)))
     nodes = [f"w{step}b{k}" for k in range(rng.randint(0, 2))]
@@ -376,16 +370,32 @@ def _batched_edit(rng, g, n, step):
         links.append((rng.randint(0, n), {u, v}))
     if links and rng.random() < 0.5:
         links.append(links[-1])
-    one_by_one = g.copy()
-    for link_id in drop:
-        one_by_one._edit(drop=[link_id])
-    for name in drop_nodes:
-        one_by_one._edit(drop_nodes=[name])
-    for name in nodes:
-        one_by_one._edit(nodes=(name,))
-    for dim, ends in links:
-        one_by_one._edit(links=((dim, ends),))
-    g._edit(drop, drop_nodes, nodes, links)
+    fault = rng.choice([None, None, None, "drop", "drop_nodes", "links"])
+    if fault == "drop":
+        drop.insert(rng.randint(min(1, len(drop)), len(drop)), "L999999")
+    elif fault == "drop_nodes":
+        drop_nodes.append("nowhere")
+    elif fault == "links":
+        bad = [(n + 1, {keep[0]}) if keep else (0, ("nowhere",)), (0, (rng.choice(keep or ["x"]), "nowhere"))]
+        links.insert(rng.randint(min(1, len(links)), len(links)), rng.choice(bad))
+    singles = (
+        [{"drop": [link_id]} for link_id in drop]
+        + [{"drop_nodes": [name]} for name in drop_nodes]
+        + [{"nodes": (name,)} for name in nodes]
+        + [{"links": (link,)} for link in links]
+    )
+    one_by_one, expected = g.copy(), None
+    try:
+        for single in singles:
+            one_by_one._edit(**single)
+    except GmapError as exc:
+        expected = type(exc), str(exc)
+    outcome = None
+    try:
+        g._edit(drop, drop_nodes, nodes, links)
+    except GmapError as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == expected and (expected is None) == (fault is None)
     assert _identity(g) == _identity(one_by_one)
 
 
@@ -464,3 +474,29 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
         for x in generations:
             for u in x.nodes:
                 assert list(x.incident_links(u)) == _scanned(x, u)
+
+
+@pytest.mark.parametrize("how", ["drop", "drop_nodes"])
+def test_dropping_the_links_of_a_high_degree_node_is_linear(how):
+    # 20,000 links at "a": 2-links to "b" and 0- and 1-loops.  In canonical
+    # order a's loops come first, so a removal that searches a's list for
+    # each dropped link reads past 10,000 loops per drop: 10**8 steps,
+    # tens of seconds, where one pass over the list takes milliseconds.
+    n, half = 2, 10_000
+    links = [(2, ("b", "a"))] * half + [(k % 2, ("a",)) for k in range(half)]
+    g = LabeledGraph.build(n, ["a", "b", "c"], links + [(0, ("b", "c"))])
+    if how == "drop":
+        at_a = [l.id for l in g.incident_links("a")]
+        random.Random(3).shuffle(at_a)
+        edit = {"drop": at_a}
+    else:
+        edit = {"drop_nodes": ["b"]}
+    h = g.copy()
+    start = time.perf_counter()
+    h._edit(**edit)
+    assert time.perf_counter() - start < 10.0
+    for u in h.nodes:
+        assert list(h.incident_links(u)) == _scanned(h, u)
+    assert len(h.incident_links("a")) == (0 if how == "drop" else half)
+    assert len(h.links) == (1 if how == "drop" else half)
+    assert _identity(g) == _identity(LabeledGraph.build(n, ["a", "b", "c"], links + [(0, ("b", "c"))]))

@@ -1,5 +1,7 @@
 """Rule application: topology edits, directives, failure modes."""
 
+import gc
+from contextlib import nullcontext
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from gmapkit import (
     Gmap,
     IncidenceViolation,
     LabeledGraph,
+    MatchError,
     MissingDirectiveError,
     PostValidationError,
     apply_rule,
@@ -387,3 +390,66 @@ def test_a_rewrite_builds_one_instance_graph():
     assert [(l.dim, l.ends, l.id) for l in inst.right.links] == [
         (l.dim, l.ends, l.id) for l in want.links
     ]
+
+
+def _square_of_four(extra=False):
+    """Darts a, b, c, d on one <0,2> cycle (0: a-b, c-d; 2: a-c, b-d) with
+    1-loops; with ``extra``, d's 2-link goes to a new dart f and b's to e,
+    so the cycle no longer closes."""
+    if not extra:
+        return Gmap.build(2, "abcd", [(0, "ab"), (0, "cd"), (2, "ac"), (2, "bd")] + [(1, u) for u in "abcd"])
+    links = [(0, "ab"), (0, "cd"), (0, "ef"), (2, "ac"), (2, "be"), (2, "df")]
+    return Gmap.build(2, "abcdef", links + [(1, u) for u in "abcdef"])
+
+
+def _calls(step, vi_rule, broken_rule, square_gmap):
+    """``step``'s call that returns and its call that raises, as
+    ``(call, error)`` pairs."""
+    if step == "instantiate_rule":
+        right_dim_3 = parse_rule_scheme(RIGHT_DIM_RULES["decoration"][0])
+        return [
+            (lambda: instantiate_rule(vi_rule, square_gmap, "v0e0-1f0"), None),
+            (lambda: instantiate_rule(right_dim_3, square_gmap, "v0e0-1f0"), DimensionError),
+        ]
+    if step == "complete_match":
+        inst = instantiate_rule(vi_rule, _square_of_four(), "a")
+        return [
+            (lambda: complete_match(inst, _square_of_four()), None),
+            (lambda: complete_match(inst, _square_of_four(extra=True)), MatchError),
+        ]
+    good = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    bad = instantiate_rule(broken_rule, square_gmap, "v0e0-1f0")
+    return [
+        (lambda: apply_rule(good, square_gmap, None, [MIDPOINT]), None),
+        (lambda: apply_rule(bad, square_gmap, None, [MIDPOINT]), PostValidationError),
+    ]
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+@pytest.mark.parametrize("step", ["instantiate_rule", "complete_match", "apply_rule"])
+def test_each_rewrite_step_restores_the_callers_collector_setting(
+    step, outcome, collecting, vi_rule, broken_rule, square_gmap
+):
+    call, error = _calls(step, vi_rule, broken_rule, square_gmap)[outcome == "raises"]
+    # each step walks or reads a graph, which notes the collector's state
+    seen: list[bool] = []
+
+    def recording(method):
+        def noted(graph, *args):
+            seen.append(gc.isenabled())
+            return method(graph, *args)
+
+        return noted
+
+    with (
+        mock.patch.object(LabeledGraph, "reach", recording(LabeledGraph.reach)),
+        mock.patch.object(LabeledGraph, "incident_links", recording(LabeledGraph.incident_links)),
+        pytest.raises(error) if error else nullcontext() as exc,
+    ):
+        call()
+    if error:
+        codes = {"instantiate_rule": "E_DOMAIN", "complete_match": "E_MATCH", "apply_rule": "E_POSTVALID"}
+        assert exc.value.code == codes[step]
+        assert step != "complete_match" or "conflicting images" in str(exc.value)
+    assert gc.isenabled() is collecting
+    assert seen and not any(seen)
