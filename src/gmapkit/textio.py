@@ -10,13 +10,13 @@ A ``.gmap`` document is read record by record (the header, a dart name,
 a link, a layer header, one dart's value) with patterns built from the
 tokenizer's own, and the map is built in one step.  The darts, links and
 each layer's values are first read in canonical runs: up to 64 records
-as ``serialize_gmap`` writes them, matched at once and split at their
-line breaks.  The record loop reads on from where a run stops, so
-hand-formatted text and every error take the record-by-record path.
-Only an error lexes the text, in one pass, and reads the failing record
-again token by token from its start, for the message, line and column of
-reading the whole document so.  ``.jrule`` schemes are lexed and then
-read token by token.
+as ``serialize_gmap`` writes them, integers of up to 640 digits, matched
+at once and split at their line breaks.  The record loop reads on from
+where a run stops, so hand-formatted text and every error take the
+record-by-record path.  ``.jrule`` schemes are read token by token.
+Only an error lexes the text, in one pass that raises its first lexical
+error or places the error (no other code counts lines and columns); a
+``.gmap`` error reads its record again token by token, for the message.
 
 A layer holds a value per dart, but the darts whose values are spelled
 alike share one object: parsing converts each distinct value text once,
@@ -29,13 +29,14 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import filterfalse
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .errors import (
     EmbeddingError,
     GmapError,
     ParseError,
     PostValidationError,
+    RelabelingError,
     SchemeError,
     UnknownLayerError,
 )
@@ -56,14 +57,14 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _integer(text: str, line: int, column: int) -> int:
-    """``int(text)``; a syntax error at ``line``, ``column`` when ``text``
-    has more digits than the interpreter converts (4,300 by default)."""
+def _integer(text: str, place: Callable[[], tuple[int, int]]) -> int:
+    """``int(text)``; past the interpreter's digit limit (4,300 by
+    default), a syntax error at the line and column ``place()`` gives."""
     try:
         return int(text)
     except ValueError:
         digits = len(text.lstrip("-"))
-        raise ParseError(f"number of {digits} digits is too long", line, column) from None
+        raise ParseError(f"number of {digits} digits is too long", *place()) from None
 
 
 def _unquote(string: str) -> str:
@@ -116,37 +117,38 @@ def _lex(text: str, tokens: tuple, at: int = 0) -> tuple[int, int]:
 
 class _Tokenizer:
     """Reader of the ``tokens`` of ``text`` from offset ``pos`` on, one
-    at a time, once ``_lex`` has raised any lexical error of the text.
-    It is its current token: ``kind`` (a symbol's is itself), ``text``
-    (a string's unquoted), and the ``line`` and ``column`` of its start."""
+    at a time: its current token's ``kind`` (a symbol's is itself, ``BAD``
+    where nothing lexes), ``text`` (a string's unquoted) and ``start``
+    offset (at ``EOF`` after a trailing comment, the comment's start)."""
 
     def __init__(self, text: str, tokens: tuple, pos: int = 0):
-        self.line, self.column = _lex(text, tokens, pos)
-        self._doc, self._pattern = text, _scanner(tokens)[0]
-        self.text, self._start, self._end = "", pos, pos
+        self._doc, self._tokens, self._pattern = text, tokens, _scanner(tokens)[0]
+        self.kind, self.text, self.start = "", "", pos  # an empty token at pos, to step over
         self.next()
 
     def next(self) -> str:
-        """Step over the current token, unless it is ``EOF``; its text."""
-        passed, pos = self.text, self._end
-        self.column += pos - self._start
+        """Step over the current token, unless it is ``EOF`` or ``BAD``; its text."""
+        passed, pos = self.text, self.start + len(self.text)  # EOF and BAD have no text
+        if self.kind == "STRING":  # its text is unquoted
+            pos = self._pattern.match(self._doc, self.start).end()
+        start = pos
         while m := self._pattern.match(self._doc, pos):
             kind, token = m.lastgroup, m.group()
-            if kind == "NL":
-                self.line, self.column = self.line + 1, 1
-            elif kind == "WS":
-                self.column += len(token)
-            elif kind != "COMMENT":
+            if kind not in ("NL", "WS", "COMMENT"):
                 self.kind = token if kind == "SYMBOL" else kind
                 self.text = _unquote(token) if kind == "STRING" else token
-                self._start, self._end = m.span()
+                self.start = pos
                 return passed
-            pos = m.end()
-        self.kind, self.text, self._start, self._end = "EOF", "", pos, pos
+            start, pos = pos if kind == "COMMENT" else m.end(), m.end()
+        self.kind, self.text, self.start = "EOF" if pos == len(self._doc) else "BAD", "", start
         return passed
 
+    def place(self) -> tuple[int, int]:
+        """The current token's line and column; a lexical error comes first."""
+        return _lex(self._doc, self._tokens, self.start)
+
     def error(self, message: str) -> NoReturn:
-        raise ParseError(message, self.line, self.column)
+        raise ParseError(message, *self.place())
 
     def expect(self, kind: str) -> str:
         if self.kind != kind:
@@ -171,7 +173,7 @@ class _Tokenizer:
     def expect_nat(self) -> int:
         if self.kind != "NUMBER" or not self.text.isdigit():
             self.error(f"expected a natural number, found {self.text!r}")
-        number = _integer(self.text, self.line, self.column)
+        number = _integer(self.text, self.place)
         self.next()
         return number
 
@@ -186,9 +188,7 @@ def _format_value(value_type: str, value: Any) -> str:
         return f'"{escaped}"'
     if value_type == "scalar":
         return repr(value)
-    if value_type == "color_rgb":
-        return " ".join(str(c) for c in value)
-    return " ".join(repr(c) for c in value)
+    return " ".join(repr(c) for c in value)  # a color's components are exact ints
 
 
 def serialize_gmap(g: Gmap) -> str:
@@ -292,13 +292,15 @@ _VALUE_TOKENS = {
 # blank, ':' or line break follows it, so a run reads the records the
 # record loop would, split at the same places.  A link with one end must
 # be followed by a link or the section's end, where the record loop's
-# reading of its second end would find no name.  A run's digits are
-# ASCII; a record a run does not take is the record loop's to read.
+# reading of its second end would find no name.  A run's integers have
+# at most 640 ASCII digits, the lowest limit sys.set_int_max_str_digits
+# accepts, so int() takes them all; the record loop reads the rest.
 _LINE, _VALUE_LINE = "\n  ", "\n      "  # the start of a canonical record
+_RUN_NAT = r"\d{1,640}"
 _DART_RUN = rf"{_LINE}{_GMAP_IDENT.pattern}(?=\n)"
-_LINK_RUN = rf"{_LINE}\d+: {_GMAP_IDENT.pattern}(?: {_GMAP_IDENT.pattern})?(?=\n(?:  \d|\}}))"
+_LINK_RUN = rf"{_LINE}{_RUN_NAT}: {_GMAP_IDENT.pattern}(?: {_GMAP_IDENT.pattern})?(?=\n(?:  \d|\}}))"
 #: a value part -> its token in a run
-_RUN_TOKENS = {_NUM: _NUMBER, _INT: r"-?\d+", _STR: _STRING}
+_RUN_TOKENS = {_NUM: _NUMBER, _INT: f"-?{_RUN_NAT}", _STR: _STRING}
 
 
 @cache
@@ -327,14 +329,14 @@ def _fail(text: str, pos: int, parts: tuple = (), loop: tuple = (), message: str
         if part.isalpha():
             tz.expect_keyword(part)
             continue
-        (kind, name), line, column = _PART_TOKENS[part], tz.line, tz.column
+        kind, name = _PART_TOKENS[part]
         if tz.kind != kind or part == _NAT and not tz.text.isdigit():
             tz.error(f"expected {name}, found {tz.text!r}")
+        if part in (_NAT, _INT) and tz.text.lstrip("-").isdigit():
+            _integer(tz.text, tz.place)
         found = tz.next()
-        if part == _INT and not found.lstrip("-").isdigit():
+        if part == _INT and not found.lstrip("-").isdigit():  # an error at the token after it
             tz.error(f"color components must be integers, found {found!r}")
-        if part in (_NAT, _INT):
-            _integer(found, line, column)
     if message:
         tz.error(message)
     raise AssertionError(f"the scan stopped at a record that reads as tokens, before {tz.text!r}")
@@ -358,7 +360,7 @@ def _build(text: str, n: int, darts: list[str], links: list) -> LabeledGraph:
         pos = _record(r"\}", "links", r"\{").match(text, pos).end()
         for _ in graph.links:
             pos = _record(*_LINK_RECORD).match(text, pos).end()
-        line = _Tokenizer(text, _GMAP_TOKENS, pos).line
+        line, _ = _Tokenizer(text, _GMAP_TOKENS, pos).place()
         exc.args = (f"{exc.args[0]} (line {line})",) + exc.args[1:]
         raise
     return graph
@@ -395,14 +397,9 @@ def parse_gmap(text: str) -> Gmap:
             pos, reading = m.end(), _LINK
             run = _run(_LINK_RUN).match
             while (end := run(text, pos).end()) > pos:
-                size = len(links)
-                try:
-                    for line in text[pos:end].split(_LINE)[1:]:
-                        dim, _, ends = line.partition(": ")
-                        links.append((int(dim), tuple(ends.split(" "))))  # split's list has spare room
-                except ValueError:  # past the digit limit: the record loop reads the run
-                    del links[size:]
-                    break
+                for line in text[pos:end].split(_LINE)[1:]:
+                    dim, _, ends = line.partition(": ")
+                    links.append((int(dim), tuple(ends.split(" "))))  # split's list has spare room
                 pos = end
             link = _record(*_LINK_RECORD).match
             while m := link(text, pos):
@@ -438,17 +435,14 @@ def parse_gmap(text: str) -> Gmap:
                 run = _run(rf"{_VALUE_LINE}{_GMAP_IDENT.pattern}: {value_run}(?=\n)").match
                 while (end := run(text, pos).end()) > pos:
                     size, lines = len(values), text[pos:end].split(_VALUE_LINE)[1:]
-                    try:
-                        for line in lines:
-                            dart_name, _, key = line.partition(": ")
-                            if (v := by_text.get(key)) is None:
-                                v = by_text[key] = value(key)
-                            values[dart_name] = v
-                    except ValueError:  # past the digit limit
-                        pass
+                    for line in lines:
+                        dart_name, _, key = line.partition(": ")
+                        if (v := by_text.get(key)) is None:
+                            v = by_text[key] = value(key)
+                        values[dart_name] = v
                     if len(values) < size + len(lines):
-                        # that, or a repeated dart: the run's darts are taken
-                        # out, and the record loop reads the run to the error
+                        # a repeated dart: the run's darts are taken out,
+                        # and the record loop reads the run to the error
                         while len(values) > size:
                             values.popitem()
                         break
@@ -547,14 +541,18 @@ def parse_rule_scheme(text: str) -> RuleScheme:
     hook, in the left block.
     """
     tz = _Tokenizer(text, _RULE_TOKENS)
-    tz.expect_keyword("rule")
-    name = tz.expect("IDENT")
-    parameter = OrbitType(_parse_list(tz, tz.expect_nat))
-    tz.expect("{")
-    left_nodes, left_arcs, left_hooks = _parse_block(tz, "left")
-    right_nodes, right_arcs, right_hooks = _parse_block(tz, "right")
-    tz.expect("}")
-    tz.expect("EOF")
+    try:
+        tz.expect_keyword("rule")
+        name = tz.expect("IDENT")
+        parameter = OrbitType(_parse_list(tz, tz.expect_nat))
+        tz.expect("{")
+        left_nodes, left_arcs, left_hooks = _parse_block(tz, "left")
+        right_nodes, right_arcs, right_hooks = _parse_block(tz, "right")
+        tz.expect("}")
+        tz.expect("EOF")
+    except RelabelingError:  # a bad orbit type
+        _lex(text, _RULE_TOKENS)  # a lexical error comes first
+        raise
 
     if right_hooks:
         raise SchemeError(f"hook {right_hooks[0]!r} must be declared in the left block")
@@ -588,7 +586,8 @@ def import_off(text: str):
     lineno, counts = rows[1]
     if len(counts) != 3 or not all(c.isdecimal() for c in counts):
         raise ParseError("counts line must be three naturals", lineno, 1)
-    n_vertices, n_faces, _ = (_integer(c, lineno, 1) for c in counts)
+    place = lambda: (lineno, 1)  # a number's place is the start of the line being read
+    n_vertices, n_faces, _ = (_integer(c, place) for c in counts)
     body_rows = rows[2:]
     if len(body_rows) != n_vertices + n_faces:
         raise ParseError(
@@ -608,7 +607,7 @@ def import_off(text: str):
     for lineno, fields in body_rows[n_vertices:]:
         if not all(f.lstrip("-").isdecimal() for f in fields):
             raise ParseError("face line must contain integers", lineno, 1)
-        nums = [_integer(f, lineno, 1) for f in fields]
+        nums = [_integer(f, place) for f in fields]
         if not nums or len(nums) != nums[0] + 1:
             raise ParseError("face line must start with its vertex count", lineno, 1)
         faces.append(tuple(nums[1:]))

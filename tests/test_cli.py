@@ -340,8 +340,18 @@ def test_info(workdir, capsys):
 
 
 def test_usage_error_exits_2(workdir, capsys):
-    assert main([]) == 2
-    assert main(["frobnicate"]) == 2
+    # a usage error is argparse's own output, not an E_* line
+    for argv in (
+        [],
+        ["frobnicate"],
+        ["validate", "square.gmap", "--frobnicate"],
+        ["orbits", "square.gmap", "--type", "0,1"],  # no --dart
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: gmapkit"), err
+        assert not any(line.startswith("E_") for line in err), err
 
 
 def test_unknown_dart_is_a_domain_error(workdir, capsys):

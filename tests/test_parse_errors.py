@@ -7,12 +7,15 @@ advance the column, so ``EOF`` after a trailing comment with no newline
 reports the column where the comment starts.  ``-`` is part of a number
 in ``.gmap`` and a symbol in ``.jrule``.  An integer with more digits
 than the interpreter's ``int()`` converts is an error at its first
-character, in every format, OFF included.
+character, in every format, OFF included.  A lexical error comes before
+any other, and a failing parse lexes its text once to place its error.
 """
+
+from unittest import mock
 
 import pytest
 
-from gmapkit import ParseError, import_off, parse_gmap, parse_rule_scheme
+from gmapkit import ParseError, import_off, parse_gmap, parse_rule_scheme, textio
 
 BIG = "1" * 5000
 HEAD = "dimension 2\ndarts { a }\nlinks {\n  0: a\n  1: a\n  2: a\n}\n"
@@ -168,6 +171,20 @@ RULE_CASES = {
         "rule r <0> { lef { } } $",
         "unexpected character '$' (line 1, column 24)",
     ),
+    # after a rule that reads whole, and before its missing hook's SchemeError
+    "character_after_a_complete_rule": (
+        "rule r <0> {\n  left { a: <0> hook }\n  right { a: <0> }\n}\n$",
+        "unexpected character '$' (line 5, column 1)",
+    ),
+    "character_after_a_rule_with_no_hook": (
+        "rule r <0> {\n  left { a: <0> }\n  right { a: <0> }\n} $\n",
+        "unexpected character '$' (line 4, column 3)",
+    ),
+    # and before a bad orbit type's RelabelingError, raised as it is read
+    "character_after_a_bad_parameter": (
+        "rule r <1, 0> { $",
+        "unexpected character '$' (line 1, column 17)",
+    ),
 }
 
 OFF_CASES = {
@@ -208,6 +225,20 @@ def test_gmap_syntax_error_is_pinned(name):
 def test_rule_syntax_error_is_pinned(name):
     text, expected = RULE_CASES[name]
     assert _syntax_line(parse_rule_scheme, text) == f"E_SYNTAX {expected}"
+
+
+@pytest.mark.parametrize(
+    "parse, name",
+    [(parse_gmap, name) for name in sorted(GMAP_CASES)]
+    + [(parse_rule_scheme, name) for name in sorted(RULE_CASES)],
+)
+def test_a_failing_parse_lexes_its_text_once(parse, name):
+    # twice where the graph is built after a record fails on a later
+    # lexical error: its dart error is placed, and the lexical error wins
+    text, _ = (GMAP_CASES if parse is parse_gmap else RULE_CASES)[name]
+    with mock.patch.object(textio, "_lex", wraps=textio._lex) as lex:
+        _syntax_line(parse, text)
+    assert lex.call_count == (2 if name == "duplicate_dart_then_character" else 1)
 
 
 @pytest.mark.parametrize("name", sorted(OFF_CASES))

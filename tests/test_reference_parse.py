@@ -19,14 +19,24 @@ spelled apart.  A document that parses must do so without the lexer,
 and its darts whose values are spelled alike, and only those, must
 share one value object.
 
+Canonical runs take integers of up to 640 digits, the lowest limit
+``sys.set_int_max_str_digits`` accepts, and leave longer ones to the
+record loop; documents with numbers at either side of that bound read
+as the frozen parser reads them, and under that limit the longer one is
+a syntax error at its own place.
+
 Both ``.jrule`` parsers read random edits of the fixture rules and must
-give equal schemes or the same exception class and message.
+give equal schemes or the same exception class and message; a rule that
+parses must do so without the lexer.
 """
 
 import re
+import sys
+from contextlib import contextmanager
 from functools import cache
 from unittest import mock
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from gmapkit import (
@@ -35,6 +45,7 @@ from gmapkit import (
     GmapError,
     OrbitType,
     ParseError,
+    RuleScheme,
     parse_gmap,
     parse_rule_scheme,
     serialize_gmap,
@@ -331,7 +342,55 @@ def _rule_outcome(parse, text):
         return type(exc), str(exc)
 
 
+def _long_number_documents(digits: int) -> dict[str, tuple[str, str]]:
+    """Canonical documents with a number of ``digits`` digits, each with
+    the place of its first such number: a color component in the second
+    of two values, and the dimension of the second of two links with an
+    equally long ``dimension``."""
+    big = "9" * digits
+    color = (
+        "dimension 0\ndarts {\n  a\n  b\n}\nlinks {\n  0: a\n  0: b\n}\n"
+        "embeddings {\n  c {\n    orbit: 0\n    type: color_rgb\n    values {\n"
+        f"      a: 1 2 3\n      b: 4 -{big} 6\n    }}\n  }}\n}}\n"
+    )
+    link = f"dimension {big}\ndarts {{\n  a\n  b\n}}\nlinks {{\n  0: a\n  {big}: b\n}}\n"
+    return {"color": (color, "line 16, column 12"), "link": (link, "line 1, column 11")}
+
+
+@contextmanager
+def _int_digit_limit(limit: int):
+    """``int()``'s digit limit set to ``limit``, then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("kind", ["color", "link"])
+def test_runs_take_numbers_of_up_to_640_digits(kind):
+    with _int_digit_limit(sys.int_info.default_max_str_digits):
+        for digits in (640, 641):
+            text, _ = _long_number_documents(digits)[kind]
+            expected = _outcome(reference_parse_gmap, text)
+            assert expected[0] == text, digits  # canonical
+            assert _outcome(parse_gmap, text) == expected, digits
+    with _int_digit_limit(640):
+        text, _ = _long_number_documents(640)[kind]
+        expected = _outcome(reference_parse_gmap, text)
+        assert expected[0] == text and _outcome(parse_gmap, text) == expected
+        text, place = _long_number_documents(641)[kind]
+        with pytest.raises(ParseError) as exc:
+            parse_gmap(text)
+    assert f"{exc.value.code} {exc.value}" == f"E_SYNTAX number of 641 digits is too long ({place})"
+
+
 @SETTINGS
 @given(mutated(RULE_TEXTS))
 def test_rule_parser_agrees_with_the_token_list_parser(text):
-    assert _rule_outcome(parse_rule_scheme, text) == _rule_outcome(reference_parse_rule_scheme, text)
+    expected = _rule_outcome(reference_parse_rule_scheme, text)
+    assert _rule_outcome(parse_rule_scheme, text) == expected
+    if isinstance(expected, RuleScheme):
+        with mock.patch.object(textio, "_lex", side_effect=AssertionError("lexed")):
+            assert parse_rule_scheme(text) == expected

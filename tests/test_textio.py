@@ -461,7 +461,7 @@ def test_obj_preserves_counts_from_off(name):
 
 @pytest.mark.parametrize("section", ["links {", "    values {"])
 def test_a_number_past_the_digit_limit_inside_a_run_is_placed_at_its_record(section):
-    # a run converts its numbers after matching all its records; one past
+    # a run stops before a number of more than 640 digits; one past
     # int()'s limit is the record loop's to place, not the run's start
     g = unify(grid_mesh(20))
     rgb = EmbeddingLayer("rgb", OrbitType(()), "color_rgb", {d: (1, 2, 3) for d in g.darts})
