@@ -53,6 +53,10 @@ RIGHT_DIM = (
     "rule V <0> { left { n0: <0> hook  n1: <0>  n0 -2- n1 }\n"
     "  right { n0: <0>  n1: <3>  n0 -2- n1 } }\n"
 )
+# rules that delete darts: a whole component, and an edge whose darts keep
+# 1-links outside the match, which the dangling condition refuses
+ERASE = "rule Erase <0,1,2> {\n  left { n0: <0,1,2> hook }\n  right { }\n}\n"
+ERASE_EDGE = "rule EraseEdge <0,2> {\n  left { n0: <0,2> hook }\n  right { }\n}\n"
 VI2 = "vertex_insert_2.jrule"
 SQUARE_DART = "v0e0-1f0"
 
@@ -88,6 +92,8 @@ def _write_inputs(tmp: Path) -> None:
     write("grid_40.off", grid["grid_mesh"](40, random.Random(1)).off_text())
     write("dual.jrule", DUAL)
     write("right_dim.jrule", RIGHT_DIM)
+    write("erase.jrule", ERASE)
+    write("erase_edge.jrule", ERASE_EDGE)
     # Dual keeps a vertex layer only on <1>
     for name in ("square", "two_triangles"):
         text = (FIXTURES / f"{name}.gmap").read_text(encoding="utf-8")
@@ -137,6 +143,13 @@ def _commands(tmp: Path):
         yield ["apply", "dual.jrule", f"{m}_corners.gmap", "--dart", SQUARE_DART, "-o", f"{out}.gmap"]
         yield ["instantiate", "dual.jrule", f"{m}_corners.gmap", "--dart", SQUARE_DART, "-o", f"{out}_left.gmap,{out}_right.gmap"]
     yield ["apply", "right_dim.jrule", "square.gmap", "--dart", SQUARE_DART, "-o", "right_dim_square.gmap"]
+    first = min(parse_gmap((tmp / "square_colored.gmap").read_text(encoding="utf-8")).darts)
+    yield ["apply", "erase.jrule", "square_colored.gmap", "--dart", first, "-o", "erase_square_colored.gmap"]
+    yield ["apply", "erase_edge.jrule", "square.gmap", "--dart", SQUARE_DART, "-o", "erase_edge_square.gmap"]
+    # the other two directive kinds; inherit copies n0's value, which differs around the vertex
+    for kind, arg in (("constant", "0.5,0.5,0"), ("inherit", "n0")):
+        ebd, out = f"pos:n1={kind}({arg})", f"vertex_insert_02_square_{kind}.gmap"
+        yield ["apply", "vertex_insert_02.jrule", "square.gmap", "--dart", SQUARE_DART, "--ebd", ebd, "-o", out]
     ebd = ["--ebd", "l@1#2:n1=midpoint(n0)", "--ebd", "l@1#2:n2=midpoint(n0)"]
     yield ["apply", VI2, "square_at_hash.gmap", "--dart", SQUARE_DART, *ebd, "-o", "square_at_hash_applied.gmap"]
     yield ["validate", "square_at_hash_applied.gmap"]

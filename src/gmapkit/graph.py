@@ -16,7 +16,8 @@ is a contract: the starts first, in order and deduplicated, then at each
 node its links in canonical order, each link's ends in sorted order.
 
 There is one write, the in-place :meth:`LabeledGraph._edit`: it removes
-links by id and nodes, then adds nodes and links.  The first time it
+links by id, then nodes with no link left (the dangling condition of
+double-pushout rewriting), then adds nodes and links.  The first time it
 touches a node, the node's tuple becomes a list in the adjacency; the
 dropped links leave the lists in one pass once the removals end, added
 links join them, and at the end each list is sorted once and becomes the
@@ -53,6 +54,7 @@ from typing import Collection, Iterable
 
 from .errors import (
     ArityError,
+    DanglingDartError,
     DimensionError,
     DuplicateNodeError,
     UnknownLinkError,
@@ -169,8 +171,9 @@ class LabeledGraph:
         links: Iterable[tuple[int, Iterable[str]]] = (),
     ) -> None:
         """Remove the links with ids in ``drop``, then the nodes in
-        ``drop_nodes`` with every link still at them, then add ``nodes``
-        and ``(dim, ends)`` links, each new link taking the next id.
+        ``drop_nodes``, where the first with a link left raises
+        :class:`DanglingDartError` naming that link, then add ``nodes`` and
+        ``(dim, ends)`` links, each new link taking the next id.
 
         The result and the first error are those of the single edits in
         that order; an error leaves the edits before it done.  Each node
@@ -188,20 +191,20 @@ class LabeledGraph:
                         if adj[u].__class__ is tuple:
                             adj[u] = list(adj[u])
                             lists.append(u)
-                for name in drop_nodes:
-                    at = adj.pop(name, None)
-                    if at is None:
-                        raise UnknownNodeError(f"unknown node {name!r}")
-                    for link in at:
-                        if made.pop(link.id, None) is not None:  # not dropped before
-                            for u in link.ends:
-                                if adj.get(u).__class__ is tuple:
-                                    adj[u] = list(adj[u])
-                                    lists.append(u)
             finally:
                 for u in lists:  # dropped links leave in one pass, linear in the node's links
-                    if u in adj:
-                        adj[u] = [l for l in adj[u] if l.id in made]
+                    adj[u] = [l for l in adj[u] if l.id in made]
+            for name in drop_nodes:
+                at = adj.get(name)
+                if at is None:
+                    raise UnknownNodeError(f"unknown node {name!r}")
+                if at:  # the dangling condition: its first link in canonical order
+                    link = at[0]
+                    raise DanglingDartError(
+                        f"deleting dart {name!r} would dangle link "
+                        f"{'-'.join(link.ends)} of dimension {link.dim}"
+                    )
+                del adj[name]
             for name in nodes:
                 if not name:
                     raise UnknownNodeError("node name must be non-empty")

@@ -18,15 +18,17 @@ depend on the orbit dart is computed once per layer and node.  The
 links and darts change in one :meth:`LabeledGraph._edit` of a copy of
 the host, which never changes the host: the copy's graph shares each
 dart's link tuple with the host (:meth:`LabeledGraph.copy`), and the
-edit builds one new tuple per dart it touches.  Instantiation, matching
-and application each run with the cyclic collector paused, the collector
-rule of :mod:`gmapkit.graph`.  The result is then
-validated: instantiation alone does not guarantee it is a generalized
-map, so the check is mandatory.  On a valid host it covers only the
-darts near the rewrite (``Gmap._validate_rewritten``), with the same
-report.  A host is known valid once a clean ``Gmap.validate`` or this
-module has marked it; an unmarked host is validated in full once, which
-marks it if it is clean, and an invalid one's result in full.
+edit builds one new tuple per dart it touches.  The edit also checks the
+dangling condition: a deleted dart with a host link outside ``M`` fails,
+the first by left name.  Instantiation, matching and application each
+run with the cyclic collector paused, the collector rule of
+:mod:`gmapkit.graph`.  The result is then validated: instantiation alone
+does not guarantee it is a generalized map, so the check is mandatory.
+On a valid host it covers only the darts near the rewrite
+(``Gmap._validate_rewritten``), with the same report.  A host is known
+valid once a clean ``Gmap.validate`` or this module has marked it; an
+unmarked host is validated in full once, which marks it if it is clean,
+and an invalid one's result in full.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Any, Iterable, Mapping
 
 from .errors import (
     ConstraintViolationError,
-    DanglingDartError,
     DirectiveError,
     MatchError,
     MissingDirectiveError,
@@ -280,9 +281,9 @@ def apply_rule(
 
     The host links it removes are the ones ``match`` kept; a match that
     disagrees with the links of ``gmap`` raises :class:`MatchError`.
-    Raises :class:`DanglingDartError` when a deleted dart still has links
-    outside the match image, :class:`MissingDirectiveError` when a
-    created dart lacks a value for some layer, and
+    Raises :class:`DanglingDartError` (from ``_edit``) when a deleted dart
+    still has links outside the match image, :class:`MissingDirectiveError`
+    when a created dart lacks a value for some layer, and
     :class:`PostValidationError` (carrying the full report) when the
     result violates the generalized-map constraints.  When ``gmap`` is
     valid, only the darts near the rewrite are checked, which finds the
@@ -314,16 +315,7 @@ def apply_rule(
             if (g is not h and g != h) or len(h.ends) != len(link.ends):
                 raise MatchError("match does not agree with the host's links")
     matched_ids = {link.id for link in links.values()}
-
-    deleted_darts = {mapping[x] for x in left_only}
-    for x in sorted(left_only):
-        a = mapping[x]
-        for host_link in graph.incident_links(a):
-            if host_link.id not in matched_ids:
-                raise DanglingDartError(
-                    f"deleting dart {a!r} would dangle link "
-                    f"{'-'.join(host_link.ends)} of dimension {host_link.dim}"
-                )
+    deleted_darts = dict.fromkeys(mapping[x] for x in sorted(left_only))  # _edit's check order
 
     # resolve right-side names: preserved through the match, created fresh
     # among the darts that stay

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmapkit import (
     ArityError,
+    DanglingDartError,
     DimensionError,
     DuplicateNodeError,
     GmapError,
@@ -153,7 +154,11 @@ def test_link_lookup_by_unknown_id():
 
 def test_remove_node_drops_incident_links():
     g = free_edge_graph().copy()
-    g._edit(drop_nodes=["a"])
+    # a node keeps its links unless they go in the same edit: the dangling condition
+    with pytest.raises(DanglingDartError, match=r"^deleting dart 'a' would dangle link a-b of dimension 0$"):
+        g._edit(drop_nodes=["a"])
+    assert g == free_edge_graph()
+    g._edit([l.id for l in g.incident_links("a")], ["a"])
     assert set(g.nodes) == {"b"}
     assert [l.dim for l in g.links] == [2]
 
@@ -352,12 +357,15 @@ def _identity(g):
 def _batched_edit(rng, g, n, step):
     """One ``_edit`` call with several removals and additions: loops,
     parallel links, links at the ends of dropped links, and now and then
-    a node dropped and its name added again, or one fault in the middle:
-    an unknown link id after real drops, an unknown node after them, or a
-    bad link after real additions.  It must leave ``g`` as the same edits
-    made one at a time leave a copy of it, and fail as they fail."""
+    a node dropped with its links and its name added again, or one fault
+    in the middle: an unknown link id after real drops, an unknown node
+    after them, a dropped node with one of its links left out of the
+    drops, or a bad link after real additions.  It must leave ``g`` as
+    the same edits made one at a time leave a copy of it, and fail as
+    they fail."""
     drop = [l.id for l in rng.sample(g.links, min(len(g.links), rng.randint(1, 4)))]
     drop_nodes = rng.sample(g.nodes, min(len(g.nodes), rng.randint(0, 1)))
+    drop += [l.id for u in drop_nodes for l in g.incident_links(u) if l.id not in drop]
     nodes = [f"w{step}b{k}" for k in range(rng.randint(0, 2))]
     if drop_nodes and rng.random() < 0.5:
         nodes.append(drop_nodes[0])
@@ -370,11 +378,16 @@ def _batched_edit(rng, g, n, step):
         links.append((rng.randint(0, n), {u, v}))
     if links and rng.random() < 0.5:
         links.append(links[-1])
-    fault = rng.choice([None, None, None, "drop", "drop_nodes", "links"])
+    fault = rng.choice([None, None, None, "drop", "drop_nodes", "dangling", "links"])
+    at_dropped = [l.id for u in drop_nodes for l in g.incident_links(u)]
     if fault == "drop":
         drop.insert(rng.randint(min(1, len(drop)), len(drop)), "L999999")
     elif fault == "drop_nodes":
         drop_nodes.append("nowhere")
+    elif fault == "dangling" and at_dropped:
+        drop.remove(rng.choice(at_dropped))
+    elif fault == "dangling":
+        fault = None  # no dropped node, or one without links
     elif fault == "links":
         bad = [(n + 1, {keep[0]}) if keep else (0, ("nowhere",)), (0, (rng.choice(keep or ["x"]), "nowhere"))]
         links.insert(rng.randint(min(1, len(links)), len(links)), rng.choice(bad))
@@ -422,7 +435,8 @@ def test_incident_links_agree_with_a_scan_under_random_edits():
             elif op < 0.75 and h.links:
                 h._edit(drop=[rng.choice(h.links).id])
             elif op < 0.85 and h.nodes:
-                h._edit(drop_nodes=[rng.choice(h.nodes)])
+                u = rng.choice(h.nodes)
+                h._edit([l.id for l in h.incident_links(u)], [u])
             else:
                 h._edit(nodes=(f"w{step}",))
         for u in h.nodes:
@@ -463,7 +477,8 @@ def test_a_copy_and_its_original_never_see_each_others_edits():
             elif op < 0.7 and x.links:
                 x._edit(drop=[rng.choice(x.links).id])
             elif op < 0.85 and x.nodes:
-                x._edit(drop_nodes=[rng.choice(x.nodes)])
+                u = rng.choice(x.nodes)
+                x._edit([l.id for l in x.incident_links(u)], [u])
             else:
                 x._edit(nodes=(f"w{step}",))
             assert all(type(t) is tuple for t in x._adj.values())
@@ -490,7 +505,8 @@ def test_dropping_the_links_of_a_high_degree_node_is_linear(how):
         random.Random(3).shuffle(at_a)
         edit = {"drop": at_a}
     else:
-        edit = {"drop_nodes": ["b"]}
+        # b and all its links, in one edit
+        edit = {"drop": [l.id for l in g.incident_links("b")], "drop_nodes": ["b"]}
     h = g.copy()
     start = time.perf_counter()
     h._edit(**edit)
