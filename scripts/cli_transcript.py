@@ -156,6 +156,8 @@ def _commands(tmp: Path):
     yield ["apply", VI2, "broken_three_faces.gmap", "--dart", "a1", "-o", "broken_three_faces_a1.gmap"]
     yield ["orbits", "square.gmap", "--type", "0,2", "--dart", SQUARE_DART]
     yield ["orbits", "square.gmap", "--type", "0,9", "--dart", SQUARE_DART]
+    yield ["orbits", "square.gmap", "--type", "0,x", "--dart", SQUARE_DART]
+    yield ["orbits", "square.gmap", "--type", "2,0", "--dart", SQUARE_DART]
 
     yield ["validate", "square_crlf_tabs.gmap"]
     yield ["validate", "trailing_x.gmap"]

@@ -251,10 +251,10 @@ class Gmap:
     :meth:`validate`, which reports violations as data.
 
     A clean :meth:`validate` marks a map known-valid (``_known_valid``),
-    as :func:`~gmapkit.rewrite.apply_rule` marks the maps it returns, so a
-    rewrite of it checks only the darts near the rewrite.  New, parsed
-    and copied maps are unmarked; a marked map edited in place must be
-    validated again before it is rewritten.
+    as does the clean check of a rewrite's result, so a rewrite of it
+    checks only the darts near the rewrite.  New, parsed and copied maps
+    are unmarked; a marked map edited in place must be validated again
+    before it is rewritten.
     """
 
     def __init__(self, graph: LabeledGraph, embeddings: Iterable[EmbeddingLayer] = ()):
@@ -561,13 +561,15 @@ class Gmap:
         filled that far past the pivots.  A pivot region that reaches the
         whole map gets the full scan alone.  Otherwise an unmarked ``host``
         is validated first (and so marked if clean); an invalid one's
-        result gets the full scan.
+        result gets the full scan.  A clean report marks this map.
         """
         pivots = self._ball(touched, _PIVOT_RADIUS)
         whole = len(pivots) == len(self.graph)
         if whole or not (host._known_valid or host.validate().ok):
             return self.validate()
-        return self._report(touched, pivots, self._ball(pivots, _TEST_RADIUS))
+        report = self._report(touched, pivots, self._ball(pivots, _TEST_RADIUS))
+        self._known_valid = report.ok
+        return report
 
     def _ball(self, darts: set[str], radius: int) -> set[str]:
         """The darts at most ``radius`` links from ``darts``."""

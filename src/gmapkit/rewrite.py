@@ -26,7 +26,7 @@ run with the cyclic collector paused, the collector rule of
 does not guarantee it is a generalized map, so the check is mandatory.
 On a valid host it covers only the darts near the rewrite
 (``Gmap._validate_rewritten``), with the same report.  A host is known
-valid once a clean ``Gmap.validate`` or this module has marked it; an
+valid once a clean ``Gmap.validate`` or result check has marked it; an
 unmarked host is validated in full once, which marks it if it is clean,
 and an invalid one's result in full.
 """
@@ -366,5 +366,4 @@ def apply_rule(
             f"rewrite by {rule.rule.name!r} produced {len(report)} constraint violations",
             report,
         )
-    result._known_valid = True
     return result

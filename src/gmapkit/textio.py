@@ -6,17 +6,15 @@ and round-trip byte-identically through their canonical serialization:
 darts lexicographic, links by (dim, ends), embeddings by name, scheme
 nodes by name.  All output uses LF line endings.
 
-A ``.gmap`` document is read record by record (the header, a dart name,
-a link, a layer header, one dart's value) with patterns built from the
-tokenizer's own, and the map is built in one step.  The darts, links and
-each layer's values are first read in canonical runs: up to 64 records
-as ``serialize_gmap`` writes them, integers of up to 640 digits, matched
-at once and split at their line breaks.  The record loop reads on from
-where a run stops, so hand-formatted text and every error take the
-record-by-record path.  ``.jrule`` schemes are read token by token.
-Only an error lexes the text, in one pass that raises its first lexical
-error or places the error (no other code counts lines and columns); a
-``.gmap`` error reads its record again token by token, for the message.
+Both formats are read by one token reader, and a ``.gmap`` map is built
+in one step.  A ``.gmap`` document's darts, links and each layer's values
+are read in canonical runs, from the start of their section and after
+each record read token by token: up to 64 records as ``serialize_gmap``
+writes them (line breaks as the document's first, LF or CRLF), integers
+of up to 640 digits, matched at once and split at their line breaks.
+Every error is raised at the token where it is read.  Only an error
+lexes the text, in one pass that raises its first lexical error or
+places the error (no other code counts lines and columns).
 
 A layer holds a value per dart, but the darts whose values are spelled
 alike share one object: parsing converts each distinct value text once,
@@ -40,7 +38,7 @@ from .errors import (
     SchemeError,
     UnknownLayerError,
 )
-from .gmap import _GMAP_CHAR, _GMAP_IDENT, EmbeddingLayer, Gmap
+from .gmap import _GMAP_IDENT, EmbeddingLayer, Gmap
 from .graph import LabeledGraph, _collector_paused
 from .orbits import REMOVE, GeneralizedOrbitType, OrbitType
 from .scheme import _NAME, GraphScheme, RuleScheme, SchemeArc
@@ -50,6 +48,10 @@ _STRING = r'"(?:[^"\\\n]|\\.)*"'
 _COMMENT = r"#[^\n]*"
 # a format's tokens by kind, in the order they are tried
 _SKIP = (("NL", r"\n"), ("WS", r"[ \t\r]+"), ("COMMENT", _COMMENT))
+# the _SKIP tokens in a row, in one match: a comment runs to the end of
+# its line, so they split in one way only and a failed match backtracks
+# through them in time linear in their length
+_BLANKS = rf"[ \t\r\n]*(?:{_COMMENT}(?![^\n])[ \t\r\n]*)*"
 _GMAP_TOKENS = (*_SKIP, ("STRING", _STRING), ("IDENT", _GMAP_IDENT.pattern), ("NUMBER", _NUMBER),
                 ("SYMBOL", "[{}:]"))
 _RULE_TOKENS = (*_SKIP, ("IDENT", _NAME.pattern), ("NUMBER", r"\d+"), ("SYMBOL", "[{}<>,:-]"))
@@ -73,13 +75,15 @@ def _unquote(string: str) -> str:
 
 
 @cache
-def _scanner(tokens: tuple) -> tuple[re.Pattern, re.Pattern]:
-    """A format's master pattern, each token in a group named by its kind,
-    and its run: up to 64 tokens (the bound keeps the match state small)
-    with no groups, and no string that breaks a line, as only the master
-    pattern's re.S lets one."""
-    master = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in tokens), re.S)
-    return master, re.compile(f"(?:{'|'.join(p for _, p in tokens)}){{0,64}}")
+def _scanner(tokens: tuple) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """A format's master pattern, each token in a group named by its kind;
+    its run: up to 64 tokens (the bound keeps the match state small) with
+    no groups, and no string that breaks a line, as only the master
+    pattern's re.S lets one; and blanks, then a token not in ``_SKIP``."""
+    groups = [f"(?P<{kind}>{p})" for kind, p in tokens]
+    master = re.compile("|".join(groups), re.S)
+    token = re.compile(f"{_BLANKS}(?:{'|'.join(groups[len(_SKIP):])})", re.S)
+    return master, re.compile(f"(?:{'|'.join(p for _, p in tokens)}){{0,64}}"), token
 
 
 def _lex(text: str, tokens: tuple, at: int = 0) -> tuple[int, int]:
@@ -94,7 +98,7 @@ def _lex(text: str, tokens: tuple, at: int = 0) -> tuple[int, int]:
     from 1, but a comment does not advance the column (only a newline or
     the end of the text follows it on its line) and a backslash-newline
     inside a string does not advance the line."""
-    master, run = _scanner(tokens)
+    master, run, _ = _scanner(tokens)
     line, start, pos, place = 1, 0, 0, None  # start: the offset of the line's first character
     while True:
         end = run.match(text, pos).end()
@@ -116,31 +120,38 @@ def _lex(text: str, tokens: tuple, at: int = 0) -> tuple[int, int]:
 
 
 class _Tokenizer:
-    """Reader of the ``tokens`` of ``text`` from offset ``pos`` on, one
-    at a time: its current token's ``kind`` (a symbol's is itself, ``BAD``
-    where nothing lexes), ``text`` (a string's unquoted) and ``start``
-    offset (at ``EOF`` after a trailing comment, the comment's start)."""
+    """Reader of the ``tokens`` of ``text``, one at a time: its current
+    token's ``kind`` (a symbol's is itself, ``BAD`` where nothing lexes),
+    ``text`` (a string's unquoted) and ``start`` offset (at ``EOF`` after
+    a trailing comment, the comment's start), and the ``end`` offset of
+    the token it last stepped over."""
 
-    def __init__(self, text: str, tokens: tuple, pos: int = 0):
-        self._doc, self._tokens, self._pattern = text, tokens, _scanner(tokens)[0]
-        self.kind, self.text, self.start = "", "", pos  # an empty token at pos, to step over
+    def __init__(self, text: str, tokens: tuple):
+        self._doc, self._tokens = text, tokens
+        self._pattern, _, self._token = _scanner(tokens)
+        self.seek(0)
+
+    def seek(self, pos: int) -> None:
+        """Read on from offset ``pos``, as if a token ended there."""
+        self.text, self._stop = "", pos  # an empty token at pos, to step over
         self.next()
 
     def next(self) -> str:
         """Step over the current token, unless it is ``EOF`` or ``BAD``; its text."""
-        passed, pos = self.text, self.start + len(self.text)  # EOF and BAD have no text
-        if self.kind == "STRING":  # its text is unquoted
-            pos = self._pattern.match(self._doc, self.start).end()
-        start = pos
+        passed, pos = self.text, self._stop  # _stop: the current token's end
+        self.end = pos
+        if m := self._token.match(self._doc, pos):
+            kind = m.lastgroup
+            self.text, self.start, self._stop = m[kind], m.start(kind), m.end()
+            self.kind = self.text if kind == "SYMBOL" else kind
+            if kind == "STRING":
+                self.text = _unquote(self.text)
+            return passed
+        start = pos  # only blanks and comments, then the end or what does not lex
         while m := self._pattern.match(self._doc, pos):
-            kind, token = m.lastgroup, m.group()
-            if kind not in ("NL", "WS", "COMMENT"):
-                self.kind = token if kind == "SYMBOL" else kind
-                self.text = _unquote(token) if kind == "STRING" else token
-                self.start = pos
-                return passed
-            start, pos = pos if kind == "COMMENT" else m.end(), m.end()
+            start, pos = pos if m.lastgroup == "COMMENT" else m.end(), m.end()
         self.kind, self.text, self.start = "EOF" if pos == len(self._doc) else "BAD", "", start
+        self._stop = start
         return passed
 
     def place(self) -> tuple[int, int]:
@@ -228,140 +239,60 @@ def serialize_gmap(g: Gmap) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Record patterns of a .gmap document, built from the tokenizer's own
-# sub-patterns.  Each token ends where the tokenizer's would: the
-# lookaheads forbid a character that would extend it, so a record
-# matches the tokens _GMAP_TOKENS makes of the same text or does not
-# match at all.  A comment must run to the end of its line, so blanks
-# and comments split in one way only and a failed match backtracks
-# through them in time linear in their length.
-_B = rf"[ \t\r\n]*(?:{_COMMENT}(?![^\n])[ \t\r\n]*)*"
-_WORD_END = rf"(?!{_GMAP_CHAR})"
-_NUMBER_END = r"(?!\d|\.\d|[eE][+-]?\d)"
-_ID = rf"({_GMAP_IDENT.pattern}){_WORD_END}"
-_NAT = rf"(\d+){_NUMBER_END}"
-# the tokenizer's number takes an exponent where one follows, and a name
-# may follow an exponent: 3e5e5 is the number 3e5, then the name e5
-_NUM = r"(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+(?!\d)|(?![eE][+-]?\d)))(?!\d|\.\d)"
-_INT = rf"(-?\d+){_NUMBER_END}"
-_STR = rf"({_STRING})"
-
-_HEADER = ("dimension", _NAT, "darts", r"\{")
-_LINK = (_NAT, ":", _ID)
-_LINK_RECORD = (*_LINK, f"(?:{_ID})?")  # and its second end, if any
-_LAYER = (_ID, r"\{", "orbit", ":")
-_TYPE = ("type", ":", _ID)
-
-#: record part -> the kind of its token, and the token's name in an error;
-#: a keyword part is an IDENT of that text
-_PART_TOKENS = {
-    _ID: ("IDENT", "IDENT"),
-    _NAT: ("NUMBER", "a natural number"),
-    _NUM: ("NUMBER", "a number"),
-    _INT: ("NUMBER", "a number"),
-    _STR: ("STRING", "a quoted string"),
-    r"\{": ("{", "{"),
-    r"\}": ("}", "}"),
-    ":": (":", ":"),
-    r"\Z": ("EOF", "EOF"),
-}
-
-
-@cache
-def _record(*parts: str) -> re.Pattern:
-    """Tokens in sequence, blanks before each; a keyword is a bare word.
-    Compiled at first use, so a process that reads no .gmap document
-    does not pay for it."""
-    tokens = (rf"{p}{_WORD_END}" if p.isalpha() else p for p in parts)
-    return re.compile("".join(_B + t for t in tokens), re.S)
-
-
-#: value type -> (the tokens of one value, the value from its key: the
-#: tokens' texts joined by single spaces, by which darts share one object)
-_VALUE_TOKENS = {
-    "string": ((_STR,), _unquote),
-    "scalar": ((_NUM,), float),
-    "point2d": ((_NUM, _NUM), lambda v: tuple(map(float, v.split()))),
-    "point3d": ((_NUM, _NUM, _NUM), lambda v: tuple(map(float, v.split()))),
-    "color_rgb": ((_INT, _INT, _INT), lambda v: tuple(map(int, v.split()))),
-}
-
-# Canonical runs: records as serialize_gmap writes them, a line break and
-# a two- or six-space indent, then their tokens with single spaces and a
-# line break after the last.  A run's token is the tokenizer's own, as a
-# blank, ':' or line break follows it, so a run reads the records the
-# record loop would, split at the same places.  A link with one end must
-# be followed by a link or the section's end, where the record loop's
-# reading of its second end would find no name.  A run's integers have
-# at most 640 ASCII digits, the lowest limit sys.set_int_max_str_digits
-# accepts, so int() takes them all; the record loop reads the rest.
-_LINE, _VALUE_LINE = "\n  ", "\n      "  # the start of a canonical record
+# Canonical runs: records as serialize_gmap writes them, each on its own
+# line after a two- or six-space indent, its tokens split by single
+# spaces.  A run's token is the tokenizer's own, as a blank, ':' or line
+# break follows it, so a run reads the records the token reader would.
+# A link with one end must be followed by a link or the section's end,
+# where the token reader would take the next line's name for its second
+# end.  A run's integers have at most 640 ASCII digits, the lowest limit
+# sys.set_int_max_str_digits accepts, so int() takes them all; the token
+# reader reads the rest.
 _RUN_NAT = r"\d{1,640}"
-_DART_RUN = rf"{_LINE}{_GMAP_IDENT.pattern}(?=\n)"
-_LINK_RUN = rf"{_LINE}{_RUN_NAT}: {_GMAP_IDENT.pattern}(?: {_GMAP_IDENT.pattern})?(?=\n(?:  \d|\}}))"
-#: a value part -> its token in a run
-_RUN_TOKENS = {_NUM: _NUMBER, _INT: f"-?{_RUN_NAT}", _STR: _STRING}
+_LINK_RUN = rf"{_RUN_NAT}: {_GMAP_IDENT.pattern}(?: {_GMAP_IDENT.pattern})?"
+_VALUE_INDENT = "      "
+
+#: value type -> (the count of its tokens, a token's pattern in a run, the
+#: value from its key: the tokens' spellings joined by single spaces, by
+#: which darts share one object)
+_VALUE_TYPES = {
+    "string": (1, _STRING, _unquote),
+    "scalar": (1, _NUMBER, float),
+    "point2d": (2, _NUMBER, lambda v: tuple(map(float, v.split()))),
+    "point3d": (3, _NUMBER, lambda v: tuple(map(float, v.split()))),
+    "color_rgb": (3, f"-?{_RUN_NAT}", lambda v: tuple(map(int, v.split()))),
+}
 
 
 @cache
-def _run(record: str) -> re.Pattern:
-    """Up to 64 ``record``s in a row (the bound keeps the match state
-    small), with ASCII digits."""
-    return re.compile(f"(?:{record}){{0,64}}", re.A)
-
-
-def _fail(text: str, pos: int, parts: tuple = (), loop: tuple = (), message: str = "") -> NoReturn:
-    """Raise the first error of a document whose record at ``pos`` the
-    scan could not read: the error, line and column of reading the
-    document token by token.
-
-    A lexical error anywhere comes first.  Then the record's tokens are
-    read one by one from ``pos``: ``loop``'s, if the token there can
-    start it, else ``parts``'.  The first token that is not what its
-    part reads is the error; if there is none, ``message`` is, at the
-    token after the record."""
-    tz = _Tokenizer(text, _GMAP_TOKENS, pos)
-    if loop:
-        first = loop[0]
-        if tz.at(first) if first.isalpha() else tz.kind == _PART_TOKENS[first][0]:
-            parts = loop
-    for part in parts:
-        if part.isalpha():
-            tz.expect_keyword(part)
-            continue
-        kind, name = _PART_TOKENS[part]
-        if tz.kind != kind or part == _NAT and not tz.text.isdigit():
-            tz.error(f"expected {name}, found {tz.text!r}")
-        if part in (_NAT, _INT) and tz.text.lstrip("-").isdigit():
-            _integer(tz.text, tz.place)
-        found = tz.next()
-        if part == _INT and not found.lstrip("-").isdigit():  # an error at the token after it
-            tz.error(f"color components must be integers, found {found!r}")
-    if message:
-        tz.error(message)
-    raise AssertionError(f"the scan stopped at a record that reads as tokens, before {tz.text!r}")
+def _run(nl: str, indent: str, record: str, follows: str = "") -> re.Pattern:
+    """Up to 64 records in a row (the bound keeps the match state small),
+    each after the line break ``nl`` and ``indent``, and followed by
+    ``nl`` and ``follows``; with ASCII digits."""
+    return re.compile(f"(?:{nl}{indent}{record}(?={nl}{follows})){{0,64}}", re.A)
 
 
 def _build(text: str, n: int, darts: list[str], links: list) -> LabeledGraph:
     """The graph of a document's darts and links.  A repeated dart is a
     syntax error at its token, a bad link an error naming its line; the
-    records are matched again to find the failing one."""
+    tokens are read again to find the failing one."""
     graph = LabeledGraph(n)
     try:
         graph._edit(nodes=darts, links=links)
     except GmapError as exc:
         # the edits before the error are done: the count of nodes, or
         # else of links, added is the index of the failing one
-        pos = _record(*_HEADER).match(text).end()
-        for _ in range(len(graph)):
-            pos = _record(_ID).match(text, pos).end()
+        tz = _Tokenizer(text, _GMAP_TOKENS)
+        for _ in range(4 + len(graph)):  # dimension N darts {, and the darts added
+            tz.next()
         if len(graph) < len(darts):
-            _fail(text, pos, message=str(exc))
-        pos = _record(r"\}", "links", r"\{").match(text, pos).end()
-        for _ in graph.links:
-            pos = _record(*_LINK_RECORD).match(text, pos).end()
-        line, _ = _Tokenizer(text, _GMAP_TOKENS, pos).place()
-        exc.args = (f"{exc.args[0]} (line {line})",) + exc.args[1:]
+            tz.error(str(exc))
+        tz.next(), tz.next(), tz.next()  # } links {
+        for _ in graph.links:  # dim : end [end]
+            tz.next(), tz.next(), tz.next()
+            if tz.kind == "IDENT":
+                tz.next()
+        exc.args = (f"{exc.args[0]} (line {tz.place()[0]})",) + exc.args[1:]
         raise
     return graph
 
@@ -371,107 +302,121 @@ def parse_gmap(text: str) -> Gmap:
     """Parse a .gmap document; structural invariants are enforced, the
     topological constraints are not (run ``validate`` separately).
 
-    The document is read in canonical runs and record by record where
-    they stop; its first error is raised as reading it token by token
-    raises it, with its position.  In a layer, the darts whose values
-    are spelled alike share one value object, converted once: ``-0.0``
-    and ``0.0`` are two objects."""
-    pos, reading = 0, _HEADER  # the record a number past int()'s digit limit is in
+    The document is read token by token, and each section in canonical
+    runs from its start and after each record read token by token; its
+    first error is raised at the token where it is read.  In a layer,
+    the darts whose values are spelled alike share one value object,
+    converted once: ``-0.0`` and ``0.0`` are two objects."""
+    tz = _Tokenizer(text, _GMAP_TOKENS)
+    first = text.find("\n")  # the document's first line break, LF or CRLF, is its runs'
+    nl = "\r\n" if first > 0 and text[first - 1] == "\r" else "\n"
+
+    def runs(indent: str, record: str, follows: str = ""):
+        """The canonical runs from the end of the last token read, each a
+        list of its records; the reader is moved past each once it is read."""
+        match, line = _run(nl, indent, record, follows).match, nl + indent
+        while (end := match(text, tz.end).end()) > tz.end:
+            yield text[tz.end : end].split(line)[1:]
+            tz.seek(end)
+
+    tz.expect_keyword("dimension")
+    n = tz.expect_nat()
+    tz.expect_keyword("darts")
+    tz.expect("{")
+    darts, links = [], []
+    # the graph is built even when the reading fails, so that an error at
+    # a dart or link before that place comes first
     try:
-        if not (m := _record(*_HEADER).match(text)):
-            _fail(text, pos, _HEADER)
-        n, pos = int(m[1]), m.end()
-        darts, links, dart = [], [], _record(_ID).match
-        # the graph is built even when a record fails to read, so that an
-        # error at a dart or link before that record comes first
-        try:
-            run = _run(_DART_RUN).match
-            while (end := run(text, pos).end()) > pos:
-                darts += text[pos:end].split(_LINE)[1:]
-                pos = end
-            while m := dart(text, pos):
-                darts.append(m[1])
-                pos = m.end()
-            if not (m := _record(r"\}", "links", r"\{").match(text, pos)):
-                _fail(text, pos, (r"\}", "links", r"\{"))
-            pos, reading = m.end(), _LINK
-            run = _run(_LINK_RUN).match
-            while (end := run(text, pos).end()) > pos:
-                for line in text[pos:end].split(_LINE)[1:]:
-                    dim, _, ends = line.partition(": ")
+        while True:
+            for records in runs("  ", _GMAP_IDENT.pattern):
+                darts += records
+            if tz.kind != "IDENT":
+                break
+            darts.append(tz.next())
+        tz.expect("}")
+        tz.expect_keyword("links")
+        tz.expect("{")
+        while True:
+            for records in runs("  ", _LINK_RUN, r"(?:  \d|\})"):
+                for record in records:
+                    dim, _, ends = record.partition(": ")
                     links.append((int(dim), tuple(ends.split(" "))))  # split's list has spare room
-                pos = end
-            link = _record(*_LINK_RECORD).match
-            while m := link(text, pos):
-                dim, a, b = m.groups()
-                links.append((int(dim), (a,) if b is None else (a, b)))
-                pos = m.end()
-            if not (m := _record(r"\}").match(text, pos)):
-                _fail(text, pos, (r"\}",), _LINK)
-            pos = m.end()
-        finally:
-            graph = _build(text, n, darts, links)
-        layers = []
-        if embeddings := _record("embeddings", r"\{").match(text, pos):
-            pos = embeddings.end()
-            while m := _record(*_LAYER).match(text, pos):
-                name, pos = m[1], m.end()
-                dims, reading = [], (_NAT,)
-                while m := _record(_NAT).match(text, pos):
-                    dims.append(int(m[1]))
-                    pos = m.end()
-                if not (m := _record(*_TYPE).match(text, pos)):
-                    _fail(text, pos, _TYPE, (_NAT,))
-                value_type, pos = m[1], m.end()
-                if value_type not in _VALUE_TOKENS:
-                    _fail(text, m.start(1), message=f"unknown value type {value_type!r}")
-                if not (m := _record("values", r"\{").match(text, pos)):
-                    _fail(text, pos, ("values", r"\{"))
-                pos = m.end()
-                tokens, value = _VALUE_TOKENS[value_type]
-                reading = (_ID, ":", *tokens)
-                values, by_text, record = {}, {}, _record(*reading).match
-                value_run = " ".join(_RUN_TOKENS[t] for t in tokens)
-                run = _run(rf"{_VALUE_LINE}{_GMAP_IDENT.pattern}: {value_run}(?=\n)").match
-                while (end := run(text, pos).end()) > pos:
-                    size, lines = len(values), text[pos:end].split(_VALUE_LINE)[1:]
-                    for line in lines:
-                        dart_name, _, key = line.partition(": ")
+            if tz.kind != "NUMBER":
+                break
+            dim = tz.expect_nat()
+            tz.expect(":")
+            ends = (tz.expect("IDENT"),)
+            if tz.kind == "IDENT":
+                ends += (tz.next(),)
+            links.append((dim, ends))
+        tz.expect("}")
+    finally:
+        graph = _build(text, n, darts, links)
+    layers = []
+    if tz.accept("embeddings"):
+        tz.expect("{")
+        while tz.kind == "IDENT":
+            name = tz.next()
+            tz.expect("{")
+            tz.expect_keyword("orbit")
+            tz.expect(":")
+            dims = []
+            while tz.kind == "NUMBER":
+                dims.append(tz.expect_nat())
+            tz.expect_keyword("type")
+            tz.expect(":")
+            if tz.kind == "IDENT" and tz.text not in _VALUE_TYPES:
+                tz.error(f"unknown value type {tz.text!r}")
+            value_type = tz.expect("IDENT")
+            tz.expect_keyword("values")
+            tz.expect("{")
+            count, token, value = _VALUE_TYPES[value_type]
+            kind, what = ("STRING", "a quoted string") if value_type == "string" else ("NUMBER", "a number")
+            color = value_type == "color_rgb"
+            pattern = f"{_GMAP_IDENT.pattern}: {' '.join([token] * count)}"
+            values, by_text = {}, {}
+            while True:
+                for records in runs(_VALUE_INDENT, pattern):
+                    size = len(values)
+                    for record in records:
+                        dart_name, _, key = record.partition(": ")
                         if (v := by_text.get(key)) is None:
                             v = by_text[key] = value(key)
                         values[dart_name] = v
-                    if len(values) < size + len(lines):
-                        # a repeated dart: the run's darts are taken out,
-                        # and the record loop reads the run to the error
+                    if len(values) < size + len(records):
+                        # a repeated dart: the run's darts are taken out, and
+                        # the reader, not yet moved past the run, reads on
                         while len(values) > size:
                             values.popitem()
                         break
-                    pos = end
-                while m := record(text, pos):
-                    dart_name, *parts = m.groups()
-                    if dart_name in values:
-                        break
-                    if (v := by_text.get(key := " ".join(parts))) is None:
-                        v = by_text[key] = value(key)
-                    values[dart_name] = v
-                    pos = m.end()
-                if not (m := _record(r"\}", r"\}").match(text, pos)):
-                    if (m := dart(text, pos)) and m[1] in values:
-                        _fail(text, pos, message=f"dart {m[1]!r} has two values in layer {name!r}")
-                    _fail(text, pos, (r"\}", r"\}"), reading)
-                pos = m.end()
-                try:
-                    layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
-                except GmapError:
-                    _lex(text, _GMAP_TOKENS)  # a lexical error comes first
-                    raise
-            if not (m := _record(r"\}").match(text, pos)):
-                _fail(text, pos, (r"\}",), _LAYER)
-            pos = m.end()
-        if not _record(r"\Z").match(text, pos):
-            _fail(text, pos, (r"\Z",), () if embeddings else ("embeddings", r"\{"))
-    except ValueError:  # int() of a number past the digit limit
-        _fail(text, pos, reading)
+                if tz.kind != "IDENT":
+                    break
+                if tz.text in values:
+                    tz.error(f"dart {tz.text!r} has two values in layer {name!r}")
+                dart_name = tz.next()
+                tz.expect(":")
+                spelled = []
+                for _ in range(count):
+                    if tz.kind != kind:
+                        tz.error(f"expected {what}, found {tz.text!r}")
+                    if color and tz.text.lstrip("-").isdigit():
+                        _integer(tz.text, tz.place)
+                    start, found = tz.start, tz.next()
+                    if color and not found.lstrip("-").isdigit():  # an error at the token after it
+                        tz.error(f"color components must be integers, found {found!r}")
+                    spelled.append(text[start : tz.end])
+                if (v := by_text.get(key := " ".join(spelled))) is None:
+                    v = by_text[key] = value(key)
+                values[dart_name] = v
+            tz.expect("}")
+            tz.expect("}")
+            try:
+                layers.append(EmbeddingLayer(name, OrbitType(tuple(dims)), value_type, values))
+            except GmapError:
+                _lex(text, _GMAP_TOKENS)  # a lexical error comes first
+                raise
+        tz.expect("}")
+    tz.expect("EOF")
     return Gmap(graph, layers)
 
 

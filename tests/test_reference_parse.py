@@ -1,5 +1,6 @@
-"""The record-scanning ``parse_gmap`` against the frozen token parser,
-and ``parse_rule_scheme`` against the frozen token-list one.
+"""``parse_gmap``, canonical runs and then the token reader, against the
+frozen token parser, and ``parse_rule_scheme`` against the frozen
+token-list one.
 
 Both ``.gmap`` parsers read the same texts: canonical documents of
 random maps with a layer of every value type, the same documents
@@ -11,7 +12,7 @@ included, or raise the same exception class with the same message.
 that is only reflowed must parse with the lexer switched off.
 
 ``parse_gmap`` reads a canonical section in runs of up to 64 records and
-reads on record by record where a run stops, so both parsers also read
+reads on token by token where a run stops, so both parsers also read
 a unified grid of a few hundred records per section with a few lines
 edited past the first run: comments, blank lines, CRLF, a link's last
 end on the next line, huge link dimensions, repeated darts and values
@@ -21,7 +22,7 @@ share one value object.
 
 Canonical runs take integers of up to 640 digits, the lowest limit
 ``sys.set_int_max_str_digits`` accepts, and leave longer ones to the
-record loop; documents with numbers at either side of that bound read
+token reader; documents with numbers at either side of that bound read
 as the frozen parser reads them, and under that limit the longer one is
 a syntax error at its own place.
 

@@ -1,8 +1,10 @@
 """Formats: canonical round-trips, parse errors, OFF/OBJ."""
 
 import math
+import re
 import tracemalloc
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from gmapkit import (
     parse_rule_scheme,
     serialize_gmap,
     serialize_rule_scheme,
+    textio,
 )
 from gmapkit.gmap import _GMAP_IDENT
 from gmapkit.mesh import unify
@@ -462,7 +465,7 @@ def test_obj_preserves_counts_from_off(name):
 @pytest.mark.parametrize("section", ["links {", "    values {"])
 def test_a_number_past_the_digit_limit_inside_a_run_is_placed_at_its_record(section):
     # a run stops before a number of more than 640 digits; one past
-    # int()'s limit is the record loop's to place, not the run's start
+    # int()'s limit is the token reader's to place, not the run's start
     g = unify(grid_mesh(20))
     rgb = EmbeddingLayer("rgb", OrbitType(()), "color_rgb", {d: (1, 2, 3) for d in g.darts})
     lines = serialize_gmap(Gmap(g.graph, [rgb])).split("\n")
@@ -473,6 +476,38 @@ def test_a_number_past_the_digit_limit_inside_a_run_is_placed_at_its_record(sect
     place = f"line {at + 1}, column {lines[at].index(huge) + 1}"
     with pytest.raises(ParseError, match=rf"^number of 5000 digits is too long \({place}\)$"):
         parse_gmap("\n".join(lines))
+
+
+def _parse_counting_steps(text: str) -> tuple[Gmap, int]:
+    """The parsed map, and the number of tokens the token reader stepped over."""
+    step = textio._Tokenizer.next
+    with mock.patch.object(textio._Tokenizer, "next", autospec=True, side_effect=step) as counted:
+        g = parse_gmap(text)
+    return g, counted.call_count
+
+
+def test_a_crlf_document_reads_in_runs_as_its_lf_twin():
+    # runs take the document's first line break, so a checkout that turns
+    # LF into CRLF reads at the same pace: no more tokens read one by one
+    g = unify(grid_mesh(9))
+    darts = sorted(g.darts)
+    layers = [
+        EmbeddingLayer(kind, OrbitType((0,)), kind, {d: value(k) for k, d in enumerate(darts)})
+        for kind, value in {
+            "string": lambda k: ["", 'say "hi"\n', "a: b"][k % 3],
+            "scalar": lambda k: [0.0, -0.0, 2.5e20][k % 3],
+            "point2d": lambda k: (float(k % 3), -0.5),
+            "color_rgb": lambda k: (k % 7, 255, -(k % 2)),
+        }.items()
+    ]
+    lf = serialize_gmap(Gmap(g.graph, [*g.embeddings.values(), *layers]))
+    assert "point3d" in lf and re.search(r"(?m)^  \d+: \S+$", lf)  # a link with one end
+    crlf = lf.replace("\n", "\r\n")
+    (from_lf, lf_steps), (from_crlf, crlf_steps) = map(_parse_counting_steps, (lf, crlf))
+    assert serialize_gmap(from_crlf) == lf
+    assert from_crlf.graph.links == from_lf.graph.links
+    assert all(from_crlf.graph.incident_links(d) == from_lf.graph.incident_links(d) for d in darts)
+    assert crlf_steps <= lf_steps < len(darts)
 
 
 def test_parse_peak_memory_stays_near_what_the_map_keeps():
