@@ -1,8 +1,8 @@
 """Undirected multigraphs with dimension-labeled arcs and named nodes.
 
-This is the substrate everything else is built on: generalized maps,
-orbit graphs, and the left side of an instantiated rule are all
-instances of :class:`LabeledGraph`, and so is its right side once read.
+This is the substrate everything else is built on: generalized maps and
+orbit graphs are instances of :class:`LabeledGraph`, and so is each side
+of an instantiated rule once read; a rewrite keeps both sides as sets.
 Links carry stable ids so that parallel arcs and loops can be deleted
 individually; semantic equality ignores ids.
 
@@ -11,7 +11,8 @@ canonical order ``(dim, ends, id)``.  That is the natural order of
 :class:`Link`, so no read has to sort.
 
 :meth:`LabeledGraph.reach` is the one traversal, for orbits, embedding
-checks, orbit-graph connectivity and match completion.  Its BFS order
+checks, orbit-graph connectivity and the match walk that words a match
+error (``extend_match``).  Its BFS order
 is a contract: the starts first, in order and deduplicated, then at each
 node its links in canonical order, each link's ends in sorted order.
 
@@ -32,10 +33,10 @@ The collector rule: a bulk build runs under :func:`_collector_paused`,
 which pauses the cyclic garbage collector and restores the caller's
 setting when the build returns or raises.  The builds are ``_edit``, the
 ``parse_gmap`` and ``unify`` around it, and the three steps of a rewrite:
-``instantiate_rule``, ``extend_match`` (so ``complete_match``) and
-``apply_rule``.  A build makes tracked objects (a ``Link`` and a tuple
-per link, the records it reads) and frees few, so a collection during
-one walks a heap that grows with the map and finds little to free.
+``instantiate_rule``, ``complete_match`` (and the walk ``extend_match``)
+and ``apply_rule``.  A build makes tracked objects (a ``Link`` and a
+tuple per link, the records it reads) and frees few, so a collection
+during one walks a heap that grows with the map and finds little to free.
 
 A node's tuple never changes.  A copy shares every tuple with its
 original, so copying costs two dict copies; an orbit graph (``_sub``)

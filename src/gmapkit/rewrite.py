@@ -3,10 +3,13 @@
 A match of an instantiated rule is an injective, dimension- and
 incidence-preserving map of the left side into a host map.  Because
 every host dart has a unique i-link per dimension, one seed pair per
-connected component of the left side determines the whole match; the
-completion is a joint traversal of the pattern and the host, which reads
-each host dart's link tuple once and keeps the host link each left link
-lands on.
+connected component of the left side determines the whole match.  It
+is unfolded from the left side's sets (``complete_match``): the hook copy
+of the anchor maps to the anchor, and every other image follows one
+relabeled orbit link or one arc from an image already known.  Each left
+link is then checked against the host, which keeps the host link it
+lands on.  Where the host disagrees, the walk over the left side's graph
+(``extend_match``) finds the first fault and words the error.
 
 Application is defined on sets.  With ``m`` the match and ``M`` the host
 links it keeps, the result has the darts ``(D \\ m(L_only)) ∪ C``, where
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import is_
 from typing import Any, Iterable, Mapping
 
 from .errors import (
@@ -47,6 +52,7 @@ from .errors import (
 )
 from .gmap import _GMAP_IDENT, EmbeddingLayer, Gmap, normalize_value, values_equal
 from .graph import LabeledGraph, Link, _collector_paused
+from .orbits import RelabelingFunction
 from .scheme import _NAME, InstantiatedRule, instance_name, split_instance
 
 
@@ -129,10 +135,93 @@ def extend_match(pattern: LabeledGraph, gmap: Gmap, seed: Mapping[str, str]) -> 
     return Match(mapping, links)
 
 
+def _one(adj: Mapping[str, tuple[Link, ...]], dart: str, dim: int) -> Link | None:
+    """The one ``dim``-link at ``dart``; ``None`` if it has none or several,
+    or is not in ``adj``."""
+    here = [l for l in adj.get(dart, ()) if l.dim == dim]
+    return here[0] if len(here) == 1 else None
+
+
+def _alpha(adj: Mapping[str, tuple[Link, ...]], dart: str, dim: int) -> str | None:
+    link = _one(adj, dart, dim)
+    return link and (link.ends[0] if link.ends[-1] == dart else link.ends[-1])
+
+
+def _landing(adj: Mapping[str, tuple[Link, ...]], images: list[str], dim: int) -> Link | None:
+    """The host link that a left link whose ends have the distinct
+    ``images`` lands on: the one ``dim``-link at each, and a loop just
+    where the left link is; ``None`` where there is none."""
+    found = _one(adj, images[0], dim)
+    if found is None or len(found.ends) != len(images):
+        return None
+    return found if all(_one(adj, a, dim) is found for a in images[1:]) else None
+
+
+def _own_links(orbit: LabeledGraph, gmap: Gmap) -> bool:
+    """Whether each orbit dart's links are its whole tuple in ``gmap``, with
+    no dim twice; a marked ``gmap`` has one link per dim at each dart."""
+    adj, at = gmap.graph._adj, orbit._adj
+    if not all(map(is_, map(adj.get, at), at.values())):
+        return False
+    return gmap._known_valid or all(len({l.dim for l in links}) == len(links) for links in at.values())
+
+
+def _unfolded(rule: InstantiatedRule, gmap: Gmap) -> Match | None:
+    """The match that :func:`extend_match` completes on ``rule.left`` from
+    ``rule.seed()``, unfolded from the sets (module docstring), or ``None``
+    where the walk would raise.  A hook decorated with the parameter
+    itself maps each ``u@hook`` to ``u``."""
+    scheme, orbit, adj = rule.rule.left, rule.orbit_graph, gmap.graph._adj
+    darts, names = orbit.nodes, scheme.node_names
+    hook = names.index(rule.rule.hook)
+    f = RelabelingFunction(scheme.parameter, scheme.nodes[hook][1]).mapping
+    if rule.anchor not in adj:
+        return None
+    images: list = [None] * len(names)  # per scheme node, its copies' images in dart order
+    if all(f[i] == i for i in f):
+        images[hook] = darts
+    else:
+        image = {rule.anchor: rule.anchor}
+        for u in darts:  # BFS order: a link of an earlier dart finds each dart
+            for link in orbit._adj[u]:
+                e = link.ends
+                v = e[0] if e[-1] == u else e[-1]
+                if v not in image:
+                    image[v] = _alpha(adj, image[u], f[link.dim])
+                    if image[v] is None:
+                        return None
+        images[hook] = [image[u] for u in darts]
+    for _ in names:  # each round reaches one more node, while one can be
+        for arc in scheme.arcs:
+            for a, b in ((arc.a, arc.b), (arc.b, arc.a)):
+                a, b = names.index(a), names.index(b)
+                if images[a] is not None and images[b] is None:
+                    images[b] = [_alpha(adj, x, arc.dim) for x in images[a]]
+                    if None in images[b]:
+                        return None
+    if any(copies is None for copies in images):
+        return None  # a component that no arc joins to the hook has no seed
+    mapping = dict(zip(rule.left_nodes, chain.from_iterable(images)))
+    if len(set(mapping.values())) < len(mapping):
+        return None
+    if images[hook] is darts and _own_links(orbit, gmap):
+        # a whole component: an arc would map into it, so past the injectivity
+        # check the hook is the only node, and its links land on themselves
+        landed = orbit.links
+    else:
+        landed = [_landing(adj, [mapping[x] for x in ends], dim) for dim, ends in rule.left_links]
+        if any(link is None for link in landed):
+            return None
+    return Match(mapping, dict(zip(rule.left_ids, landed)))
+
+
+@_collector_paused
 def complete_match(rule: InstantiatedRule, gmap: Gmap) -> Match:
     """Complete a match of ``rule.left`` seeded with the hook copy of the
-    anchor dart on the anchor itself."""
-    return extend_match(rule.left, gmap, rule.seed())
+    anchor dart on the anchor itself, unfolded from the sets; where the
+    host disagrees, :func:`extend_match` raises the error it meets first."""
+    match = _unfolded(rule, gmap)
+    return match if match is not None else extend_match(rule.left, gmap, rule.seed())
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +382,9 @@ def apply_rule(
     """
     if match is None:
         match = complete_match(rule, gmap)
-    mapping, links, left = match.mapping, match.links, rule.left
-    covered = len(mapping) == len(left) and all(map(mapping.__contains__, left.nodes))
-    if not covered or links.keys() != {link.id for link in left.links}:
+    mapping, links, left_nodes, ids = match.mapping, match.links, rule.left_nodes, rule.left_ids
+    covered = len(mapping) == len(left_nodes) and all(map(mapping.__contains__, left_nodes))
+    if not covered or len(links) != len(ids) or not all(map(links.__contains__, ids)):
         raise MatchError("match does not cover the left side exactly")
     if len(match.image) != len(mapping):
         raise MatchError("match is not injective")
@@ -303,16 +392,18 @@ def apply_rule(
     right_only, left_only = rule.right_only, rule.left_only
     table = _directive_table(directives, right_only, gmap.embeddings)
 
-    # each left link is the unique host link of its dim at each end's image
-    graph = gmap.graph
-    for x, a in mapping.items():
-        at = graph.incident_links(a)
-        one = {h.dim: h for h in at}
-        if len(one) < len(at):  # a repeated dim has no unique link
-            one = {d: h for d, h in one.items() if [l.dim for l in at].count(d) == 1}
-        for link in left.incident_links(x):
-            h, g = links[link.id], one.get(link.dim)
-            if (g is not h and g != h) or len(h.ends) != len(link.ends):
+    # each left link is the unique host link of its dim at each end's image;
+    # a marked host has one link per dim at each dart
+    graph, adj, marked = gmap.graph, gmap.graph._adj, gmap._known_valid
+    for a in mapping.values():
+        if a not in adj:
+            raise UnknownNodeError(f"unknown node {a!r}")
+    for (dim, ends), h in zip(rule.left_links, map(links.__getitem__, ids)):
+        if h.dim != dim or len(h.ends) != len(ends):
+            raise MatchError("match does not agree with the host's links")
+        for x in ends:
+            a = mapping[x]
+            if h not in adj[a] or not (marked or _one(adj, a, dim)):
                 raise MatchError("match does not agree with the host's links")
     matched_ids = {link.id for link in links.values()}
     deleted_darts = dict.fromkeys(mapping[x] for x in sorted(left_only))  # _edit's check order

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import SchemeError
@@ -140,7 +141,7 @@ def instantiate_scheme(scheme: GraphScheme, orbit_graph: LabeledGraph) -> Labele
     by arc in sorted dart order; link ids follow that order.
     """
     _check_orbit_graph(scheme.parameter, orbit_graph)
-    return _instance(scheme, orbit_graph)
+    return LabeledGraph.build(orbit_graph.ambient_dimension, *_instance_sets(scheme, orbit_graph))
 
 
 #: ``(dim, ends)`` links, as :meth:`LabeledGraph.build` reads them
@@ -174,39 +175,46 @@ def _instance_sets(scheme: GraphScheme, orbit_graph: LabeledGraph) -> tuple[tupl
     return nodes, tuple(links)
 
 
-def _instance(scheme: GraphScheme, orbit_graph: LabeledGraph) -> LabeledGraph:
-    return LabeledGraph.build(orbit_graph.ambient_dimension, *_instance_sets(scheme, orbit_graph))
-
-
 @dataclass(frozen=True)
 class InstantiatedRule:
     """A concrete rewrite rule unfolded at one anchor dart.
 
     Node names carry their provenance (``origDart@schemeNode``); the
     preserved set is the expansion of the scheme nodes present on both
-    sides.  The left side is a graph, which match completion walks.  The
-    right side is kept as the instance's two sets, ``right_nodes`` and
-    ``right_links``, which rule application reads; :attr:`right` builds
-    its graph from them on first read.
+    sides.  Both sides are kept as the instance's two sets: ``left_nodes``
+    and ``left_links``, which match completion unfolds and rule
+    application checks a match against, and ``right_nodes`` and
+    ``right_links``, which rule application reads.  :attr:`left` and
+    :attr:`right` build their graphs from them on first read.
     """
 
     rule: RuleScheme
     anchor: str
     orbit_graph: LabeledGraph
-    left: LabeledGraph
+    left_nodes: tuple[str, ...]
+    left_links: _Links
     right_nodes: tuple[str, ...]
     right_links: _Links
     preserved: frozenset[str]
 
     @cached_property
+    def left(self) -> LabeledGraph:
+        """The left side's instance graph, that of :func:`instantiate_scheme`."""
+        return LabeledGraph.build(self.orbit_graph.ambient_dimension, self.left_nodes, self.left_links)
+
+    @cached_property
     def right(self) -> LabeledGraph:
         """The right side's instance graph, that of :func:`instantiate_scheme`."""
-        top = self.orbit_graph.ambient_dimension
-        return LabeledGraph.build(top, self.right_nodes, self.right_links)
+        return LabeledGraph.build(self.orbit_graph.ambient_dimension, self.right_nodes, self.right_links)
+
+    @cached_property
+    def left_ids(self) -> tuple[str, ...]:
+        """The ids of ``left_links`` in :attr:`left`, ``L0`` on, as a match keys them."""
+        return tuple([f"L{k}" for k in range(len(self.left_links))])
 
     @property
     def left_only(self) -> tuple[str, ...]:
-        return tuple(u for u in self.left.nodes if u not in self.preserved)
+        return tuple(u for u in self.left_nodes if u not in self.preserved)
 
     @property
     def right_only(self) -> tuple[str, ...]:
@@ -219,16 +227,16 @@ class InstantiatedRule:
 
 @_collector_paused
 def instantiate_rule(rule: RuleScheme, gmap: "Gmap", dart: str) -> InstantiatedRule:
-    """Unfold both sides of ``rule`` with the parameter orbit of ``dart``:
-    the left side as a graph, the right side as its sets."""
+    """Unfold both sides of ``rule`` with the parameter orbit of ``dart``,
+    each as its sets."""
     # the orbit holds only parameter dims and is connected by construction;
     # its walk raises on an unknown dart
     orbit_graph = gmap.orbit(rule.parameter, dart)
-    left = _instance(rule.left, orbit_graph)
+    left_nodes, left_links = _instance_sets(rule.left, orbit_graph)
     right_nodes, right_links = _instance_sets(rule.right, orbit_graph)
-    preserved = frozenset(
-        instance_name(u, node)
-        for node in rule.preserved_nodes
-        for u in orbit_graph.nodes
-    )
-    return InstantiatedRule(rule, dart, orbit_graph, left, right_nodes, right_links, preserved)
+    # left_nodes holds one block of copies per left scheme node, in order
+    size, kept = len(orbit_graph), set(rule.preserved_nodes)
+    preserved = frozenset(chain.from_iterable(
+        left_nodes[k * size:(k + 1) * size] for k, node in enumerate(rule.left.node_names) if node in kept
+    ))
+    return InstantiatedRule(rule, dart, orbit_graph, left_nodes, left_links, right_nodes, right_links, preserved)

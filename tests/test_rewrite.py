@@ -2,6 +2,7 @@
 
 import gc
 from contextlib import nullcontext
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -17,6 +18,8 @@ from gmapkit import (
     MatchError,
     MissingDirectiveError,
     PostValidationError,
+    RelabelingFunction,
+    UnknownNodeError,
     apply_rule,
     complete_match,
     instantiate_rule,
@@ -377,19 +380,28 @@ def test_a_right_side_dim_above_the_map_fails_at_instantiation(square_gmap, name
     assert str(exc.value) == f"dimension {dim} out of range 0..2"
 
 
-def test_a_rewrite_builds_one_instance_graph():
+def test_a_rewrite_builds_no_instance_graph():
     dual = parse_rule_scheme("rule Dual <0,1,2> { left { n0: <0,1,2> hook } right { n0: <2,1,0> } }")
     host = parse_gmap(fixture_text("square.gmap").replace("    orbit: 1 2\n", "    orbit: 1\n"))
     with mock.patch.object(LabeledGraph, "build", wraps=LabeledGraph.build) as build:
         inst = instantiate_rule(dual, host, "v0e0-1f0")
         out = apply_rule(inst, host, complete_match(inst, host))
-    assert build.call_count == 1 and len(out.darts) == len(host.darts)
-    # the right side, read later, is the graph instantiate_scheme builds
-    want = instantiate_scheme(dual.right, inst.orbit_graph)
-    assert inst.right.nodes == want.nodes
-    assert [(l.dim, l.ends, l.id) for l in inst.right.links] == [
-        (l.dim, l.ends, l.id) for l in want.links
-    ]
+    assert build.call_count == 0 and len(out.darts) == len(host.darts)
+    # each side, read later, is the graph instantiate_scheme builds
+    for side, scheme in ((inst.left, dual.left), (inst.right, dual.right)):
+        want = instantiate_scheme(scheme, inst.orbit_graph)
+        assert side.nodes == want.nodes
+        assert [(l.dim, l.ends, l.id) for l in side.links] == [(l.dim, l.ends, l.id) for l in want.links]
+
+
+def test_a_match_onto_a_dart_the_host_lacks_is_refused(vi_rule, square_gmap):
+    inst = instantiate_rule(vi_rule, square_gmap, "v0e0-1f0")
+    match = complete_match(inst, square_gmap)
+    x = sorted(match.mapping)[-1]
+    gone = replace(match, mapping={**match.mapping, x: "nowhere"})
+    with pytest.raises(UnknownNodeError) as exc:
+        apply_rule(inst, square_gmap, gone, [MIDPOINT])
+    assert str(exc.value) == "unknown node 'nowhere'"
 
 
 def _square_of_four(extra=False):
@@ -431,7 +443,8 @@ def test_each_rewrite_step_restores_the_callers_collector_setting(
     step, outcome, collecting, vi_rule, broken_rule, square_gmap
 ):
     call, error = _calls(step, vi_rule, broken_rule, square_gmap)[outcome == "raises"]
-    # each step walks or reads a graph, which notes the collector's state
+    # each step walks or reads a graph, or relabels a scheme node's links,
+    # which notes the collector's state
     seen: list[bool] = []
 
     def recording(method):
@@ -444,6 +457,7 @@ def test_each_rewrite_step_restores_the_callers_collector_setting(
     with (
         mock.patch.object(LabeledGraph, "reach", recording(LabeledGraph.reach)),
         mock.patch.object(LabeledGraph, "incident_links", recording(LabeledGraph.incident_links)),
+        mock.patch.object(RelabelingFunction, "mapping", property(recording(RelabelingFunction.mapping.fget))),
         pytest.raises(error) if error else nullcontext() as exc,
     ):
         call()
